@@ -1,8 +1,10 @@
-"""Hand-rolled dense LU with partial pivoting for desk-scale matrices.
+"""Hand-rolled dense elimination for desk-scale matrices.
 
-Everything downstream (determinants, inverses, leading principal minors,
-M-matrix classification) funnels through this one factorization so the
-pivoting / tolerance policy lives in a single place.
+Two kernels live here.  ``lu_factor``/``inverse``/``determinant`` use
+partial pivoting and serve general matrices.  ``m_factor``/``m_inverse``
+eliminate a Z-matrix without pivoting: that is the nonsingular M-matrix
+gate (all pivots positive) and, from the same packed factors, an inverse
+that is entrywise >= 0 with exact structural zeros.
 """
 from __future__ import annotations
 
@@ -12,6 +14,8 @@ from .errors import SingularMatrixError
 
 # |pivot| <= PIVOT_REL * max|entry| declares the matrix singular
 PIVOT_REL = 1e-13
+# an unpivoted M-matrix pivot must exceed M_PIVOT_REL * its own a_kk
+M_PIVOT_REL = 1e-12
 
 
 def _pivot_floor(a: np.ndarray) -> float:
@@ -85,7 +89,45 @@ def inverse(a: np.ndarray) -> np.ndarray:
     return inv
 
 
-def leading_minors(a: np.ndarray) -> np.ndarray:
-    """Determinants of the n leading principal submatrices (1x1 .. nxn)."""
+def m_factor(a: np.ndarray):
+    """Unpivoted A = LU of a Z-matrix; packed factors, or None when a is not
+    a nonsingular M-matrix.
+
+    A Z-matrix is a nonsingular M-matrix iff elimination without pivoting
+    meets only positive pivots (Berman & Plemmons, ch. 6, Thm 2.3).  Each
+    pivot is compared with M_PIVOT_REL times its row's original diagonal
+    entry, so the test is dimensionless.  Elimination stops at the first
+    pivot that fails.  Schur complements of a Z-matrix are Z-matrices, so
+    L and the off-diagonal of U stay <= 0 in floating point as well.
+    """
     n = a.shape[0]
-    return np.array([determinant(a[:k, :k]) for k in range(1, n + 1)])
+    lu = a.astype(np.float64, copy=True)
+    off = lu.copy()
+    np.fill_diagonal(off, 0.0)
+    if np.any(off > 0.0):
+        return None
+    floor = M_PIVOT_REL * np.diag(a)
+    for k in range(n):
+        piv = lu[k, k]
+        if not piv > floor[k]:
+            return None
+        lu[k + 1:, k] /= piv
+        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    return lu
+
+
+def m_inverse(lu: np.ndarray) -> np.ndarray:
+    """Inverse from ``m_factor``'s packed factors, all columns at once.
+
+    Every substitution step adds a product of two nonpositive numbers to a
+    nonnegative one, so no cancellation occurs: the result is entrywise
+    >= 0 and is exactly zero where the digraph of A has no path i -> j.
+    """
+    n = lu.shape[0]
+    x = np.eye(n)
+    for i in range(1, n):  # L Y = I, L unit lower
+        x[i] -= lu[i, :i] @ x[:i]
+    for i in range(n - 1, -1, -1):  # U X = Y
+        x[i] -= lu[i, i + 1:] @ x[i + 1:]
+        x[i] /= lu[i, i]
+    return x

@@ -141,24 +141,31 @@ def write_matrix(a: np.ndarray, path: str, structured: bool = False) -> None:
 # report emission: table / tsv / jsonl from the same row dicts
 # ----------------------------------------------------------------------
 
+def _echo(message: str, err: bool = False) -> None:
+    # the stream goes in explicitly: without ``file=``, click caches a
+    # wrapper per sys.stdout object, and for a StringIO that wrapper is the
+    # stream itself, so a redirected in-process call would never free it
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _emit(rows: List[dict], fmt: str) -> None:
     if not rows:
         return
     keys = list(rows[0].keys())
     if fmt == "jsonl":
         for row in rows:
-            click.echo(json.dumps(row))
+            _echo(json.dumps(row))
     elif fmt == "tsv":
-        click.echo("\t".join(keys))
+        _echo("\t".join(keys))
         for row in rows:
-            click.echo("\t".join(_cell(row.get(k)) for k in keys))
+            _echo("\t".join(_cell(row.get(k)) for k in keys))
     else:
         widths = [max(len(k), max(len(_cell(r.get(k))) for r in rows))
                   for k in keys]
-        click.echo("  ".join(k.ljust(w) for k, w in zip(keys, widths)))
+        _echo("  ".join(k.ljust(w) for k, w in zip(keys, widths)))
         for row in rows:
-            click.echo("  ".join(_cell(row.get(k)).ljust(w)
-                                 for k, w in zip(keys, widths)))
+            _echo("  ".join(_cell(row.get(k)).ljust(w)
+                            for k, w in zip(keys, widths)))
 
 
 def _cell(x) -> str:
@@ -172,7 +179,7 @@ def _cell(x) -> str:
 
 
 def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
@@ -221,7 +228,7 @@ def cmd_classify(file, fmt):
     }]
     if fmt == "table":
         for k, v in rows[0].items():
-            click.echo(f"{k}: {str(v).lower()}")
+            _echo(f"{k}: {str(v).lower()}")
     else:
         _emit(rows, fmt)
     sys.exit(EXIT_OK)
@@ -244,9 +251,9 @@ def cmd_spectral(which, file, fmt):
     rows = [{"quantity": which, "value": res.value,
              "iterations": res.iterations, "residual": res.residual}]
     if fmt == "table":
-        click.echo(f"{which}: {_FMT % res.value}")
-        click.echo(f"iterations: {res.iterations}")
-        click.echo(f"residual: {res.residual:.3e}")
+        _echo(f"{which}: {_FMT % res.value}")
+        _echo(f"iterations: {res.iterations}")
+        _echo(f"residual: {res.residual:.3e}")
     else:
         _emit(rows, fmt)
     sys.exit(EXIT_OK)
@@ -313,12 +320,13 @@ def cmd_bounds(family, files, variant, p_spec, tol, fmt):
             binv = inverse(b)
             tau_a = tau_m_matrix(a).value
             tau_b = tau_m_matrix(b).value
+            rho_ja, rho_jb = jacobi_radius(a), jacobi_radius(b)
             oracle = tau_m_matrix(hadamard(a, binv)).value
             ladder = (
                 bnd.tau_hinv_diag_floor(tau_a, binv),
-                bnd.tau_hinv_jacobi_ratio(a, b, jacobi_radius(a), jacobi_radius(b)),
+                bnd.tau_hinv_jacobi_ratio(a, b, rho_ja, rho_jb),
                 bnd.tau_hinv_chain(a, b),
-                bnd.tau_hinv_jacobi_oval(a, b, binv, jacobi_radius(a), jacobi_radius(b)),
+                bnd.tau_hinv_jacobi_oval(a, b, binv, rho_ja, rho_jb),
                 bnd.tau_hinv_deficit_oval(a, b, binv, tau_a, tau_b, variant=variant),
             )
             lower = True
@@ -343,7 +351,7 @@ def cmd_bounds(family, files, variant, p_spec, tol, fmt):
 
     rows = _bound_rows(oracle, ladder, lower)
     if fmt == "table":
-        click.echo(f"oracle: {_FMT % oracle}")
+        _echo(f"oracle: {_FMT % oracle}")
     else:
         rows = [{"bound": "oracle", "direction": "-", "value": oracle,
                  "slack": 0.0}] + rows
@@ -354,13 +362,13 @@ def cmd_bounds(family, files, variant, p_spec, tol, fmt):
             deficit.components["proof_value"],
             deficit.components["statement_value"]))
         if fmt == "table":
-            click.echo(note)
+            _echo(note)
     _emit(rows, fmt)
     bad = [r for r in rows if r["bound"] != "oracle" and r["slack"] < -tol]
     if bad:
         for r in bad:
-            click.echo(f"violation: {r['bound']} (slack {r['slack']:.3e})",
-                       err=True)
+            _echo(f"violation: {r['bound']} (slack {r['slack']:.3e})",
+                  err=True)
         sys.exit(EXIT_VIOLATION)
     sys.exit(EXIT_OK)
 
@@ -473,8 +481,8 @@ def cmd_verify(family, trials, seed, order, order_min, order_max, density,
             "violations": ";".join(rep.violations) if rep.violations else "",
         })
     _emit(rows, fmt)
-    click.echo(f"family={family} trials={trials} violations={n_viol} "
-               f"max_slack={max_slack:.6g}")
+    _echo(f"family={family} trials={trials} violations={n_viol} "
+          f"max_slack={max_slack:.6g}")
     sys.exit(EXIT_OK if n_viol == 0 else EXIT_VIOLATION)
 
 

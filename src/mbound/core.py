@@ -24,9 +24,6 @@ __all__ = [
     "perturb_cyclic",
 ]
 
-# leading principal minor counts as positive iff > MINOR_REL * max|entry|
-MINOR_REL = 1e-12
-
 
 @dataclass(frozen=True)
 class MatrixClassification:
@@ -123,8 +120,9 @@ def classify(a) -> MatrixClassification:
     """Compute all structural predicates for one matrix.
 
     The M-matrix test requires nonpositive off-diagonals plus positive
-    leading principal minors; minors come from the shared LU routine with
-    the deterministic relative tolerance ``MINOR_REL``.
+    pivots in unpivoted elimination (``_lu.m_factor``), each pivot measured
+    against its own original diagonal entry, so the verdict does not
+    change when the matrix is scaled.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -132,11 +130,7 @@ def classify(a) -> MatrixClassification:
     np.fill_diagonal(off, 0.0)
     nonnegative = bool(np.all(a >= 0.0))
     z_matrix = bool(np.all(off <= 0.0))
-    if z_matrix:
-        floor = MINOR_REL * max(float(np.max(np.abs(a))), 1e-300)
-        m_matrix = bool(np.all(_lu.leading_minors(a) > floor))
-    else:
-        m_matrix = False
+    m_matrix = z_matrix and _lu.m_factor(a) is not None
     diag = np.abs(np.diag(a))
     strictly_dd = bool(np.all(diag > np.abs(off).sum(axis=1)))
     return MatrixClassification(

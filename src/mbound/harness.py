@@ -117,9 +117,9 @@ def gen_m_matrix(spec: GeneratorSpec, rng: Optional[np.random.Generator] = None,
     """alpha*I − P with P nonnegative random and alpha = rho(P)(1+margin).
 
     A zero Perron root (acyclic pattern) would make the shift vanish, so
-    alpha floors at the margin itself — the minors are then margin^k > 0.
-    Classification of the result is asserted; failure raises rather than
-    silently retrying.
+    alpha floors at the margin itself — every elimination pivot is then
+    the margin.  Classification of the result is asserted; failure raises
+    rather than silently retrying.
     """
     if rng is None:
         rng = _trial_rng(spec.seed, 0)

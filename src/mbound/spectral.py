@@ -60,7 +60,11 @@ _SQUARINGS = 6  # power-iterate m^(2^6): same bracket, 64x the convergence rate
 
 
 def _power_perron(a: np.ndarray, cfg: SpectralConfig):
-    """Power iteration on the primitive shift a + cI, c = 1 + max diag.
+    """Power iteration on the primitive shift a + cI, c = max entry of a.
+
+    The shift scales with a, so the iteration count and the relative
+    accuracy do not depend on the scale of the input (a is irreducible of
+    order >= 2 here, so c > 0).
 
     Returns (rho, vector, iterations, residual).  The shifted matrix is
     squared _SQUARINGS times first (with max-entry normalization against
@@ -71,7 +75,7 @@ def _power_perron(a: np.ndarray, cfg: SpectralConfig):
     reported residual is the final bracket width on that scale.
     """
     n = a.shape[0]
-    c = 1.0 + float(np.max(np.diag(a)))
+    c = float(a.max())
     m = a + c * np.eye(n)
     # invariant: rho(m) = exp(log_scale) * rho(m_pow)^(1/2^e)
     log_scale = 0.0
@@ -196,17 +200,15 @@ def determinant(a) -> float:
 def tau_m_matrix(a, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralResult:
     """Minimum eigenvalue of a nonsingular M-matrix, as 1/rho(a^-1).
 
-    The inverse is entrywise nonnegative, so the Perron machinery applies;
-    its eigenvector doubles as the eigenvector here.
+    One unpivoted elimination is both the class gate and the factorization
+    the inverse is formed from; that inverse is entrywise nonnegative by
+    construction, so the Perron machinery applies and its eigenvector
+    doubles as the eigenvector here.
     """
-    a = as_matrix(a)
-    if not classify(a).nonsingular_m_matrix:
+    lu = _lu.m_factor(as_matrix(a))
+    if lu is None:
         raise ClassMismatchError("not a nonsingular M-matrix")
-    inv = _lu.inverse(a)
-    # rounding can leave -1e-17-scale dust in the mathematically >= 0 inverse
-    dust = np.abs(inv) <= 1e-12 * np.max(np.abs(inv))
-    inv[(inv < 0.0) & dust] = 0.0
-    r = rho_nonnegative(inv, cfg)
+    r = rho_nonnegative(_lu.m_inverse(lu), cfg)
     return SpectralResult(1.0 / r.value, r.eigenvector, r.iterations, r.residual)
 
 

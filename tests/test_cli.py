@@ -1,6 +1,10 @@
 """Command-line contract: parsing, formats, exit codes, round-trips."""
+import contextlib
+import gc
+import io
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -277,3 +281,23 @@ def test_verify_tsv_has_header(runner):
     assert res.exit_code == 0
     header = res.output.splitlines()[0].split("\t")
     assert header[0] == "trial" and "oracle" in header
+
+
+def test_in_process_bounds_frees_redirected_stdout():
+    # a library caller that redirects stdout must get its buffer back:
+    # nothing in the CLI may keep the stream alive after the call
+    buf = io.StringIO()
+    ref = weakref.ref(buf)
+    code = None
+    with contextlib.redirect_stdout(buf):
+        try:
+            main.main(args=["bounds", "fan", fixture("ex31_a.txt"),
+                            fixture("ex31_b.txt")],
+                      prog_name="mbound", standalone_mode=False)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 0
+    assert buf.getvalue().startswith("oracle: ")
+    del buf
+    gc.collect()
+    assert ref() is None

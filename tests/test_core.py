@@ -1,7 +1,7 @@
 """Classification flags, entrywise products, and input validation."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -9,6 +9,7 @@ from mbound.core import (as_matrix, classify, cyclic_permutation, fan_power,
                          fan_product, hadamard, perturb_cyclic,
                          scale_similarity)
 from mbound.errors import MatrixFormatError
+from conftest import random_m_matrix, random_nonnegative
 
 
 def test_as_matrix_rejects_nonsquare():
@@ -154,3 +155,45 @@ def test_cyclic_permutation_irreducible_any_order(n):
 def test_errors_carry_location():
     err = MatrixFormatError("bad", line=3, column=2)
     assert err.line == 3 and err.column == 2
+
+
+scales = st.floats(min_value=1e-150, max_value=1e150)
+densities = st.sampled_from([1.0, 0.3])
+
+
+@given(n=st.integers(1, 8), seed=st.integers(0, 10 ** 6), density=densities,
+       s=scales)
+@settings(max_examples=100, deadline=None)
+def test_classify_scale_invariant(n, seed, density, s):
+    rng = np.random.default_rng(seed)
+    for a in (random_m_matrix(rng, n, density=density),
+              random_nonnegative(rng, n, density)):
+        assert classify(s * a) == classify(a)
+
+
+def test_classify_scaled_dominant_m_matrix():
+    # strictly row-dominant, hence an M-matrix at every scale: a gate with
+    # a floor that does not scale like its pivots rejects it at 1e-3
+    rng = np.random.default_rng(0)
+    p = rng.uniform(0.0, 1.0, (8, 8))
+    np.fill_diagonal(p, 0.0)
+    a = np.diag(1.5 * p.sum(axis=1)) - p
+    for s in (1.0, 1e-3, 1e-100, 1e100):
+        c = classify(s * a)
+        assert c.strictly_row_dd and c.nonsingular_m_matrix
+
+
+@given(n=st.integers(1, 8), seed=st.integers(0, 10 ** 6), density=densities)
+@settings(max_examples=150, deadline=None)
+def test_classify_m_matrix_matches_eigenvalues(n, seed, density):
+    # a Z-matrix is a nonsingular M-matrix iff every eigenvalue has a
+    # positive real part; the diagonal straddles rho of the off-diagonal
+    # part, so both verdicts occur
+    rng = np.random.default_rng(seed)
+    p = random_nonnegative(rng, n, density)
+    np.fill_diagonal(p, 0.0)
+    rho = float(np.max(np.abs(np.linalg.eigvals(p))))
+    a = np.diag(rng.uniform(0.5, 1.5, n) * max(rho, 0.1)) - p
+    low = float(np.min(np.linalg.eigvals(a).real))
+    assume(abs(low) > 1e-6 * np.max(np.abs(a)))
+    assert classify(a).nonsingular_m_matrix == (low > 0.0)

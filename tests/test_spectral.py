@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbound import _lu
 from mbound.core import cyclic_permutation, fan_product, hadamard
 from mbound.errors import (ClassMismatchError, ConvergenceError,
                            SingularMatrixError)
@@ -162,3 +163,77 @@ def test_spectral_config_validation():
         SpectralConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         SpectralConfig(max_iter=0)
+
+
+scales = st.floats(min_value=1e-150, max_value=1e150)
+densities = st.sampled_from([1.0, 0.3])
+
+
+@given(n=st.integers(1, 8), seed=st.integers(0, 10 ** 6), density=densities,
+       s=scales)
+@settings(max_examples=100, deadline=None)
+def test_rho_scale_covariant(n, seed, density, s):
+    a = random_nonnegative(np.random.default_rng(seed), n, density)
+    r = rho_nonnegative(a).value
+    assert rho_nonnegative(s * a).value == pytest.approx(s * r, rel=1e-12,
+                                                         abs=0.0)
+
+
+@given(n=st.integers(1, 8), seed=st.integers(0, 10 ** 6), density=densities,
+       s=scales)
+@settings(max_examples=100, deadline=None)
+def test_tau_scale_covariant(n, seed, density, s):
+    a = random_m_matrix(np.random.default_rng(seed), n, density=density)
+    t = tau_m_matrix(a).value
+    assert tau_m_matrix(s * a).value == pytest.approx(s * t, rel=1e-12)
+
+
+def test_rho_tiny_scale_converges():
+    # the primitivity shift must scale with the input: an absolute shift
+    # of 1 swamps a 1e-6-scale matrix and the bracket never closes
+    a = np.random.default_rng(0).uniform(0.0, 1.0, (5, 5))
+    r = rho_nonnegative(a * 1e-6)
+    assert r.value == pytest.approx(np_rho(a) * 1e-6, rel=1e-12)
+
+
+def test_tau_huge_scale():
+    # the inverse has 1e-150-scale entries, which an absolute shift of 1
+    # would absorb entirely, giving tau = 1/0
+    a = np.array([[2.0, -1.0], [-1.0, 2.0]]) * 1e150
+    assert tau_m_matrix(a).value == pytest.approx(1e150, rel=1e-12)
+
+
+def _reachable(a):
+    """i -> j reachability (reflexive) in the off-diagonal digraph of a."""
+    r = (a != 0.0) | np.eye(a.shape[0], dtype=bool)
+    while True:
+        nxt = r | ((r.astype(int) @ r.astype(int)) > 0)
+        if np.array_equal(nxt, r):
+            return r
+        r = nxt
+
+
+@given(n=st.integers(1, 12), seed=st.integers(0, 10 ** 6), density=densities,
+       margin=st.sampled_from([0.5, 0.05]))
+@settings(max_examples=150, deadline=None)
+def test_m_inverse_sign_exact(n, seed, density, margin):
+    a = random_m_matrix(np.random.default_rng(seed), n, margin=margin,
+                        density=density)
+    lu = _lu.m_factor(a)
+    assert lu is not None
+    inv = _lu.m_inverse(lu)
+    assert np.all(inv >= 0.0)
+    np.testing.assert_array_equal(inv != 0.0, _reachable(a))
+    ref = np.linalg.inv(a)
+    nz = inv != 0.0
+    np.testing.assert_allclose(inv[nz], ref[nz], rtol=1e-10, atol=0.0)
+
+
+def test_m_factor_rejects():
+    # singular, a failing later pivot, a positive off-diagonal, and a
+    # nonpositive diagonal
+    for a in ([[1.0, -1.0], [-1.0, 1.0]],
+              [[1.0, -2.0], [-1.0, 1.0]],
+              [[2.0, 0.5], [0.0, 2.0]],
+              [[-1.0]]):
+        assert _lu.m_factor(np.array(a)) is None
