@@ -13,19 +13,19 @@ from .errors import (ClassMismatchError, ConvergenceError, MatrixFormatError,
                      MboundError, SingularMatrixError)
 from .spectral import (SpectralConfig, SpectralResult, determinant, inverse,
                        jacobi_radius, rho_nonnegative, tau_m_matrix)
-from .bounds import (AuxChain, BoundResult, HolderExponents, OffdiagMax,
-                     aux_chain, aux_offdiag_max, cassini_contains,
-                     inverse_column_caps, rho_bound_affine,
+from .bounds import (AuxChain, BoundResult, DominanceScaling, HolderExponents,
+                     OffdiagMax, aux_chain, aux_offdiag_max, cassini_contains,
+                     dominance_scaling, inverse_column_caps, rho_bound_affine,
                      rho_bound_oval_deficit, rho_bound_oval_rowmax,
                      rho_bound_product, tau_bound_affine,
                      tau_bound_oval_deficit, tau_bound_oval_rowmax,
                      tau_bound_product, tau_hinv_chain, tau_hinv_deficit_oval,
                      tau_hinv_diag_floor, tau_hinv_jacobi_oval,
                      tau_hinv_jacobi_ratio, tau_multi_fan)
-from .harness import (GeneratorSpec, TrialReport, gen_m_matrix,
-                      gen_nonnegative, lemma_product_m_matrix,
+from .harness import (FAMILIES, Family, GeneratorSpec, TrialReport,
+                      gen_m_matrix, gen_nonnegative, lemma_product_m_matrix,
                       run_fan_suite, run_hadamard_suite, run_hinv_suite,
-                      run_multi_fan_suite)
+                      run_multi_fan_suite, run_suite)
 
 __version__ = "0.1.0"
 
@@ -42,8 +42,9 @@ __all__ = [
     "SpectralConfig", "SpectralResult", "rho_nonnegative", "tau_m_matrix",
     "jacobi_radius", "inverse", "determinant",
     # bounds
-    "BoundResult", "OffdiagMax", "AuxChain", "HolderExponents",
-    "aux_offdiag_max", "aux_chain", "inverse_column_caps",
+    "BoundResult", "OffdiagMax", "AuxChain", "DominanceScaling",
+    "HolderExponents", "aux_offdiag_max", "aux_chain", "dominance_scaling",
+    "inverse_column_caps",
     "rho_bound_product", "rho_bound_affine", "rho_bound_oval_deficit",
     "rho_bound_oval_rowmax", "tau_bound_product", "tau_bound_affine",
     "tau_bound_oval_deficit", "tau_bound_oval_rowmax",
@@ -52,6 +53,7 @@ __all__ = [
     "cassini_contains",
     # harness
     "GeneratorSpec", "TrialReport", "gen_nonnegative", "gen_m_matrix",
-    "lemma_product_m_matrix", "run_hadamard_suite", "run_fan_suite",
-    "run_hinv_suite", "run_multi_fan_suite",
+    "lemma_product_m_matrix", "Family", "FAMILIES", "run_suite",
+    "run_hadamard_suite", "run_fan_suite", "run_hinv_suite",
+    "run_multi_fan_suite",
 ]

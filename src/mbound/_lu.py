@@ -1,10 +1,11 @@
 """Hand-rolled dense elimination for desk-scale matrices.
 
-Two kernels live here.  ``lu_factor``/``inverse``/``determinant`` use
-partial pivoting and serve general matrices.  ``m_factor``/``m_inverse``
-eliminate a Z-matrix without pivoting: that is the nonsingular M-matrix
-gate (all pivots positive) and, from the same packed factors, an inverse
-that is entrywise >= 0 with exact structural zeros.
+Two kernels live here.  ``lu_factor`` eliminates with partial pivoting
+and serves general matrices; ``inverse`` and ``determinant`` read its
+factors.  ``m_factor``/``m_inverse`` eliminate a Z-matrix without
+pivoting: that is the nonsingular M-matrix gate (all pivots positive)
+and, from the same packed factors, an inverse that is entrywise >= 0
+with exact structural zeros.
 """
 from __future__ import annotations
 
@@ -24,14 +25,16 @@ def _pivot_floor(a: np.ndarray) -> float:
 
 
 def lu_factor(a: np.ndarray):
-    """Factor PA = LU in place; returns (lu, perm_sign, singular).
+    """Factor PA = LU; returns (lu, perm, perm_sign, singular).
 
-    ``lu`` packs L (unit lower, implicit diagonal) and U.  ``singular`` is
-    True when some pivot falls below the relative floor; factorization still
-    completes with whatever pivots exist so determinant() can return 0.
+    ``lu`` packs L (unit lower, implicit diagonal) and U; row k of PA is
+    row perm[k] of a.  ``singular`` is True when some pivot falls below the
+    relative floor; factorization still completes with whatever pivots
+    exist so determinant() can return 0.
     """
     n = a.shape[0]
     lu = a.astype(np.float64, copy=True)
+    perm = np.arange(n)
     sign = 1.0
     floor = _pivot_floor(a)
     singular = False
@@ -42,15 +45,16 @@ def lu_factor(a: np.ndarray):
             continue
         if p != k:
             lu[[k, p]] = lu[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
             sign = -sign
         piv = lu[k, k]
         lu[k + 1:, k] /= piv
         lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, sign, singular
+    return lu, perm, sign, singular
 
 
 def determinant(a: np.ndarray) -> float:
-    lu, sign, singular = lu_factor(a)
+    lu, _, sign, singular = lu_factor(a)
     if singular:
         return 0.0
     return float(sign * np.prod(np.diag(lu)))
@@ -58,19 +62,10 @@ def determinant(a: np.ndarray) -> float:
 
 def inverse(a: np.ndarray) -> np.ndarray:
     """A^-1 via LU solves against the identity columns."""
+    lu, perm, _, singular = lu_factor(a)
+    if singular:
+        raise SingularMatrixError("matrix is singular within pivot tolerance")
     n = a.shape[0]
-    lu = a.astype(np.float64, copy=True)
-    perm = np.arange(n)
-    floor = _pivot_floor(a)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) <= floor:
-            raise SingularMatrixError("matrix is singular within pivot tolerance")
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
     inv = np.empty((n, n), dtype=np.float64)
     for col in range(n):
         b = np.zeros(n)

@@ -35,16 +35,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import as_matrix, classify, scale_similarity
-from .spectral import inverse
+from .core import _pair, as_matrix, classify, scale_similarity
 
 __all__ = [
     "BoundResult",
     "OffdiagMax",
     "AuxChain",
+    "DominanceScaling",
     "HolderExponents",
     "aux_offdiag_max",
     "aux_chain",
+    "dominance_scaling",
     "inverse_column_caps",
     "rho_bound_product",
     "rho_bound_affine",
@@ -126,10 +127,7 @@ def _offdiag_rowmax(a: np.ndarray) -> np.ndarray:
 
 
 def aux_offdiag_max(a, b) -> OffdiagMax:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("order mismatch")
+    a, b = _pair(a, b)
     return OffdiagMax(s=_offdiag_rowmax(a), t=_offdiag_rowmax(b))
 
 
@@ -196,20 +194,24 @@ def inverse_column_caps(a, chain: Optional[AuxChain] = None) -> np.ndarray:
     return caps
 
 
-def _pair_scan(n: int, term):
-    """(value, (i, j)) of term(i, j) extremized over ordered pairs i != j.
-
-    term returns (candidate, better) where better is the strict comparison;
-    first row-major pair wins ties.
-    """
+def _oval(da, db, radicand, upper: bool):
+    """(value, (i, j)): over ordered pairs i != j, the largest upper root
+    (upper=True) or the smallest lower root of the pairwise oval
+    0.5 (x + y ± sqrt((x − y)² + radicand(i, j))), x = da_i db_i and
+    y = da_j db_j; the first row-major pair wins ties."""
+    n = len(da)
+    if n == 1:
+        return float(da[0] * db[0]), (0, 0)
+    sign = 1.0 if upper else -1.0
     best = None
     arg = (-1, -1)
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            cand = term(i, j)
-            if best is None or (cand < best if term.minimize else cand > best):
+            x, y = da[i] * db[i], da[j] * db[j]
+            cand = 0.5 * (x + y + sign * _clamped_sqrt((x - y) ** 2 + radicand(i, j)))
+            if best is None or sign * cand > sign * best:
                 best = cand
                 arg = (i, j)
     return best, arg
@@ -231,9 +233,7 @@ def rho_bound_product(rho_a: float, rho_b: float) -> BoundResult:
 
 def rho_bound_affine(a, b, rho_a: float, rho_b: float) -> BoundResult:
     """max_i {2 a_ii b_ii + rho(A)rho(B) − b_ii rho(A) − a_ii rho(B)}."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError("order mismatch")
+    a, b = _pair(a, b)
     da, db = np.diag(a), np.diag(b)
     vals = 2.0 * da * db + rho_a * rho_b - db * rho_a - da * rho_b
     i = int(np.argmax(vals))
@@ -243,43 +243,16 @@ def rho_bound_affine(a, b, rho_a: float, rho_b: float) -> BoundResult:
     )
 
 
-def _oval_upper(da, db, radicand):
-    n = len(da)
-    if n == 1:
-        return float(da[0] * db[0]), (0, 0)
-
-    def term(i, j):
-        x, y = da[i] * db[i], da[j] * db[j]
-        return 0.5 * (x + y + _clamped_sqrt((x - y) ** 2 + radicand(i, j)))
-
-    term.minimize = False
-    return _pair_scan(n, term)
-
-
-def _oval_lower(da, db, radicand):
-    n = len(da)
-    if n == 1:
-        return float(da[0] * db[0]), (0, 0)
-
-    def term(i, j):
-        x, y = da[i] * db[i], da[j] * db[j]
-        return 0.5 * (x + y - _clamped_sqrt((x - y) ** 2 + radicand(i, j)))
-
-    term.minimize = True
-    return _pair_scan(n, term)
-
-
 def rho_bound_oval_deficit(a, b, rho_a: float, rho_b: float) -> BoundResult:
     """Pairwise oval form whose radicand uses the full spectral deficits
     (rho(A)−a_ii)(rho(B)−b_ii)(rho(A)−a_jj)(rho(B)−b_jj)."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError("order mismatch")
+    a, b = _pair(a, b)
     da, db = np.diag(a), np.diag(b)
-    value, arg = _oval_upper(
+    value, arg = _oval(
         da, db,
         lambda i, j: 4.0 * (rho_a - da[i]) * (rho_b - db[i])
         * (rho_a - da[j]) * (rho_b - db[j]),
+        upper=True,
     )
     return BoundResult(
         "rho_oval_deficit", "upper", value,
@@ -290,14 +263,13 @@ def rho_bound_oval_deficit(a, b, rho_a: float, rho_b: float) -> BoundResult:
 def rho_bound_oval_rowmax(a, b, rho_a: float, rho_b: float) -> BoundResult:
     """Pairwise oval form with off-diagonal row maxima in the radicand:
     4 t_i s_j (rho(A)−a_ii)(rho(B)−b_jj), s rows of A, t rows of B."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError("order mismatch")
+    a, b = _pair(a, b)
     aux = aux_offdiag_max(a, b)
     da, db = np.diag(a), np.diag(b)
-    value, arg = _oval_upper(
+    value, arg = _oval(
         da, db,
         lambda i, j: 4.0 * aux.t[i] * aux.s[j] * (rho_a - da[i]) * (rho_b - db[j]),
+        upper=True,
     )
     return BoundResult(
         "rho_oval_rowmax", "upper", value,
@@ -324,9 +296,7 @@ def tau_bound_product(tau_a: float, tau_b: float) -> BoundResult:
 
 def tau_bound_affine(a, b, tau_a: float, tau_b: float) -> BoundResult:
     """min_i {b_ii tau(A) + a_ii tau(B) − tau(A)tau(B)}."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError("order mismatch")
+    a, b = _pair(a, b)
     da, db = np.diag(a), np.diag(b)
     vals = db * tau_a + da * tau_b - tau_a * tau_b
     i = int(np.argmin(vals))
@@ -338,14 +308,13 @@ def tau_bound_affine(a, b, tau_a: float, tau_b: float) -> BoundResult:
 
 def tau_bound_oval_deficit(a, b, tau_a: float, tau_b: float) -> BoundResult:
     """Pairwise oval with full tau deficits in the radicand."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError("order mismatch")
+    a, b = _pair(a, b)
     da, db = np.diag(a), np.diag(b)
-    value, arg = _oval_lower(
+    value, arg = _oval(
         da, db,
         lambda i, j: 4.0 * (da[i] - tau_a) * (db[i] - tau_b)
         * (da[j] - tau_a) * (db[j] - tau_b),
+        upper=False,
     )
     return BoundResult(
         "tau_oval_deficit", "lower", value,
@@ -355,14 +324,13 @@ def tau_bound_oval_deficit(a, b, tau_a: float, tau_b: float) -> BoundResult:
 
 def tau_bound_oval_rowmax(a, b, tau_a: float, tau_b: float) -> BoundResult:
     """Pairwise oval with 4 t_i s_j (a_ii−tau(A))(b_jj−tau(B)) radicand."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError("order mismatch")
+    a, b = _pair(a, b)
     aux = aux_offdiag_max(a, b)
     da, db = np.diag(a), np.diag(b)
-    value, arg = _oval_lower(
+    value, arg = _oval(
         da, db,
         lambda i, j: 4.0 * aux.t[i] * aux.s[j] * (da[i] - tau_a) * (db[j] - tau_b),
+        upper=False,
     )
     return BoundResult(
         "tau_oval_rowmax", "lower", value,
@@ -394,9 +362,7 @@ def tau_hinv_jacobi_ratio(a, b, rho_ja: float, rho_jb: float) -> BoundResult:
     The ratio runs a_ii over b_ii; the flipped orientation fails validity
     on desk checks, so only this one is offered.
     """
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError("order mismatch")
+    a, b = _pair(a, b)
     da, db = np.diag(a), np.diag(b)
     ratios = da / db
     i = int(np.argmin(ratios))
@@ -412,28 +378,39 @@ def tau_hinv_jacobi_ratio(a, b, rho_ja: float, rho_jb: float) -> BoundResult:
     )
 
 
-def _dominance_scaled(b):
-    """(scaled, d, applied): similarity making b strictly row dominant.
+@dataclass(frozen=True)
+class DominanceScaling:
+    """D⁻¹ B D made strictly row dominant, and the row chain of it.
 
-    d = b^-1 · 1 keeps the diagonal and, for M-matrices, guarantees strict
-    dominance of D^-1 b D; when b is already dominant the identity is used.
+    d = B⁻¹ · 1 keeps the diagonal and, for M-matrices, guarantees strict
+    dominance of D⁻¹ B D; when B is already dominant, d = 1 and
+    ``applied`` is False.  One scaling serves every hinv rung that needs it.
     """
+
+    scaled: np.ndarray
+    d: np.ndarray
+    applied: bool
+    chain: AuxChain
+
+
+def dominance_scaling(b, binv) -> DominanceScaling:
+    """The scaling of b, with d formed from the given inverse binv of b."""
+    b = as_matrix(b)
     if classify(b).strictly_row_dd:
-        return b, np.ones(b.shape[0]), False
-    d = inverse(b) @ np.ones(b.shape[0])
-    return scale_similarity(b, d), d, True
+        scaled, d, applied = b, np.ones(b.shape[0]), False
+    else:
+        d = as_matrix(binv) @ np.ones(b.shape[0])
+        scaled, applied = scale_similarity(b, d), True
+    return DominanceScaling(scaled, d, applied, aux_chain(scaled))
 
 
-def tau_hinv_chain(a, b) -> BoundResult:
+def tau_hinv_chain(a, b, scaling: DominanceScaling) -> BoundResult:
     """min_i (a_ii − s'_i · Σ_{j≠i}|a_ji|) / b_ii, column sums of a in the
     numerator, with s'_i the ROW maximum max_{j≠i} s_pair[i, j] of the chain
-    matrix of the dominance-scaled b (each row's own chain coefficients)."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError("order mismatch")
-    scaled, d, applied = _dominance_scaled(b)
-    chain = aux_chain(scaled)
-    s_row = chain.s_pair.max(axis=1)  # diag is 0, entries >= 0
+    matrix of the dominance-scaled b (each row's own chain coefficients).
+    ``scaling`` is ``dominance_scaling(b, B⁻¹)``."""
+    a, b = _pair(a, b)
+    s_row = scaling.chain.s_pair.max(axis=1)  # diag is 0, entries >= 0
     da, db = np.diag(a), np.diag(b)
     colsum = np.abs(a).sum(axis=0) - np.abs(da)
     vals = (da - s_row * colsum) / db
@@ -442,7 +419,7 @@ def tau_hinv_chain(a, b) -> BoundResult:
         "tau_hinv_chain", "lower", float(vals[i]),
         {
             "argmin": i, "s_row": tuple(map(float, s_row)),
-            "scaled": applied, "scaling": tuple(map(float, d)),
+            "scaled": scaling.applied, "scaling": tuple(map(float, scaling.d)),
         },
     )
 
@@ -450,16 +427,15 @@ def tau_hinv_chain(a, b) -> BoundResult:
 def tau_hinv_jacobi_oval(a, b, binv, rho_ja: float, rho_jb: float) -> BoundResult:
     """Pairwise oval on the diagonal products a_ii beta_ii with the Jacobi
     cross term 4 a_ii a_jj beta_ii beta_jj rho^2(J_A) rho^2(J_B)."""
-    a, b = as_matrix(a), as_matrix(b)
-    binv = as_matrix(binv)
-    if not (a.shape == b.shape == binv.shape):
-        raise ValueError("order mismatch")
+    a, b = _pair(a, b)
+    _, binv = _pair(b, binv)
     da = np.diag(a)
     beta = np.diag(binv)
     g = (rho_ja * rho_jb) ** 2
-    value, arg = _oval_lower(
+    value, arg = _oval(
         da, beta,
         lambda i, j: 4.0 * da[i] * da[j] * beta[i] * beta[j] * g,
+        upper=False,
     )
     return BoundResult(
         "tau_hinv_jacobi_oval", "lower", value,
@@ -468,12 +444,13 @@ def tau_hinv_jacobi_oval(a, b, binv, rho_ja: float, rho_jb: float) -> BoundResul
 
 
 def tau_hinv_deficit_oval(a, b, binv, tau_a: float, tau_b: float,
+                          scaling: DominanceScaling,
                           variant: str = "proof") -> BoundResult:
     """Pairwise oval with tau-deficit radicand, in two variants.
 
     variant="proof" (default): radicand 4 s_i s_j beta_ii beta_jj
     (a_ii−tau(A))(a_jj−tau(A)) with s the row-chain vector of the
-    dominance-scaled b — the construction that actually emerges from
+    dominance-scaled b (``scaling.chain.s``) — the construction that actually emerges from
     chaining the inverse-entry caps, and the only one that matches the
     reference value on the worked example.
 
@@ -484,27 +461,26 @@ def tau_hinv_deficit_oval(a, b, binv, tau_a: float, tau_b: float,
 
     Both variants' values are recorded in components.
     """
-    a, b = as_matrix(a), as_matrix(b)
-    binv = as_matrix(binv)
-    if not (a.shape == b.shape == binv.shape):
-        raise ValueError("order mismatch")
+    a, b = _pair(a, b)
+    _, binv = _pair(b, binv)
     if variant not in ("proof", "statement"):
         raise ValueError("variant must be 'proof' or 'statement'")
     da, db = np.diag(a), np.diag(b)
     beta = np.diag(binv)
 
     s_stmt = _offdiag_rowmax(a)
-    v_stmt, arg_stmt = _oval_lower(
+    v_stmt, arg_stmt = _oval(
         da, beta,
         lambda i, j: 4.0 * s_stmt[i] * s_stmt[j] * beta[i] * beta[j]
         * (da[i] - tau_a) * (db[j] - tau_b),
+        upper=False,
     )
-    scaled, d, applied = _dominance_scaled(b)
-    s_chain = aux_chain(scaled).s
-    v_proof, arg_proof = _oval_lower(
+    s_chain = scaling.chain.s
+    v_proof, arg_proof = _oval(
         da, beta,
         lambda i, j: 4.0 * s_chain[i] * s_chain[j] * beta[i] * beta[j]
         * (da[i] - tau_a) * (da[j] - tau_a),
+        upper=False,
     )
     value, arg = (v_proof, arg_proof) if variant == "proof" else (v_stmt, arg_stmt)
     return BoundResult(
@@ -513,7 +489,7 @@ def tau_hinv_deficit_oval(a, b, binv, tau_a: float, tau_b: float,
             "variant": variant, "argmin_pair": arg,
             "proof_value": v_proof, "statement_value": v_stmt,
             "tau_a": tau_a, "tau_b": tau_b,
-            "scaled": applied, "scaling": tuple(map(float, d)),
+            "scaled": scaling.applied, "scaling": tuple(map(float, scaling.d)),
         },
     )
 

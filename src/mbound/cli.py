@@ -20,12 +20,12 @@ from typing import List, Optional
 import click
 import numpy as np
 
+from . import __version__, harness
 from . import bounds as bnd
-from . import harness
-from .core import classify, fan_power, fan_product, hadamard
+from .core import classify
 from .errors import (ClassMismatchError, ConvergenceError, MatrixFormatError,
                      SingularMatrixError)
-from .spectral import inverse, jacobi_radius, rho_nonnegative, tau_m_matrix
+from .spectral import rho_nonnegative, tau_m_matrix
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -207,7 +207,7 @@ format_option = click.option(
 
 
 @click.group()
-@click.version_option(package_name="mbound")
+@click.version_option(version=__version__)
 def main():
     """Spectral bound toolkit for entrywise matrix products."""
 
@@ -269,8 +269,7 @@ def _bound_rows(oracle: float, ladder, lower: bool):
 
 
 @main.command("bounds")
-@click.argument("family", type=click.Choice(
-    ["hadamard", "fan", "hadamard-inverse", "multi-fan"]))
+@click.argument("family", type=click.Choice(list(harness.FAMILIES)))
 @click.argument("files", nargs=-1, required=True, type=click.Path())
 @click.option("--variant", type=click.Choice(["statement", "proof"]),
               default="proof", show_default=True,
@@ -290,79 +289,30 @@ def cmd_bounds(family, files, variant, p_spec, tol, fmt):
     if family != "multi-fan" and len(files) != 2:
         _fail(EXIT_INPUT, f"family {family} takes exactly two matrix files")
     mats = [_load(f) for f in files]
+    exponents = None
+    if family == "multi-fan":
+        exponents = _parse_exponents(p_spec, len(mats))
+    fam = harness.FAMILIES[family]
     try:
-        if family == "hadamard":
-            a, b = mats
-            rho_a = rho_nonnegative(a).value
-            rho_b = rho_nonnegative(b).value
-            oracle = rho_nonnegative(hadamard(a, b)).value
-            ladder = (
-                bnd.rho_bound_product(rho_a, rho_b),
-                bnd.rho_bound_affine(a, b, rho_a, rho_b),
-                bnd.rho_bound_oval_deficit(a, b, rho_a, rho_b),
-                bnd.rho_bound_oval_rowmax(a, b, rho_a, rho_b),
-            )
-            lower = False
-        elif family == "fan":
-            a, b = mats
-            tau_a = tau_m_matrix(a).value
-            tau_b = tau_m_matrix(b).value
-            oracle = tau_m_matrix(fan_product(a, b)).value
-            ladder = (
-                bnd.tau_bound_product(tau_a, tau_b),
-                bnd.tau_bound_affine(a, b, tau_a, tau_b),
-                bnd.tau_bound_oval_deficit(a, b, tau_a, tau_b),
-                bnd.tau_bound_oval_rowmax(a, b, tau_a, tau_b),
-            )
-            lower = True
-        elif family == "hadamard-inverse":
-            a, b = mats
-            binv = inverse(b)
-            tau_a = tau_m_matrix(a).value
-            tau_b = tau_m_matrix(b).value
-            rho_ja, rho_jb = jacobi_radius(a), jacobi_radius(b)
-            oracle = tau_m_matrix(hadamard(a, binv)).value
-            ladder = (
-                bnd.tau_hinv_diag_floor(tau_a, binv),
-                bnd.tau_hinv_jacobi_ratio(a, b, rho_ja, rho_jb),
-                bnd.tau_hinv_chain(a, b),
-                bnd.tau_hinv_jacobi_oval(a, b, binv, rho_ja, rho_jb),
-                bnd.tau_hinv_deficit_oval(a, b, binv, tau_a, tau_b, variant=variant),
-            )
-            lower = True
-        else:
-            p = _parse_exponents(p_spec, len(mats))
-            taus_pow = [tau_m_matrix(fan_power(mk, pk)).value
-                        for mk, pk in zip(mats, p.p)]
-            acc = mats[0]
-            for mk in mats[1:]:
-                acc = fan_product(acc, mk)
-            oracle = tau_m_matrix(acc).value
-            ladder = (bnd.tau_multi_fan(mats, p, taus_pow),)
-            lower = True
-    except ClassMismatchError as exc:
-        _fail(EXIT_CLASS, str(exc))
-    except SingularMatrixError as exc:
+        oracle, ladder, _ = fam.evaluate(mats, variant, exponents)
+    except (ClassMismatchError, SingularMatrixError) as exc:
         _fail(EXIT_CLASS, str(exc))
     except ConvergenceError as exc:
         _fail(1, f"iteration did not converge: {exc}")
     except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
 
-    rows = _bound_rows(oracle, ladder, lower)
+    rows = _bound_rows(oracle, ladder, fam.lower)
     if fmt == "table":
         _echo(f"oracle: {_FMT % oracle}")
     else:
         rows = [{"bound": "oracle", "direction": "-", "value": oracle,
                  "slack": 0.0}] + rows
-    if family == "hadamard-inverse":
-        deficit = ladder[-1]
-        note = ("variant: %s (proof=%.17g statement=%.17g)" % (
-            deficit.components["variant"],
-            deficit.components["proof_value"],
-            deficit.components["statement_value"]))
-        if fmt == "table":
-            _echo(note)
+    if family == "hadamard-inverse" and fmt == "table":
+        deficit = ladder[-1].components
+        _echo("variant: %s (proof=%.17g statement=%.17g)" % (
+            deficit["variant"], deficit["proof_value"],
+            deficit["statement_value"]))
     _emit(rows, fmt)
     bad = [r for r in rows if r["bound"] != "oracle" and r["slack"] < -tol]
     if bad:
@@ -390,8 +340,7 @@ def _parse_exponents(p_spec: Optional[str], m: int) -> bnd.HolderExponents:
 
 
 @main.command("verify")
-@click.argument("family", type=click.Choice(
-    ["hadamard", "fan", "hadamard-inverse", "multi-fan"]))
+@click.argument("family", type=click.Choice(list(harness.FAMILIES)))
 @click.option("--trials", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=None,
               help="RNG seed (default: MBOUND_SEED env var, else 0).")
@@ -432,31 +381,25 @@ def cmd_verify(family, trials, seed, order, order_min, order_max, density,
         _fail(EXIT_INPUT, "order range must satisfy 1 <= min <= max <= 12")
     if trials < 1:
         _fail(EXIT_INPUT, "--trials must be >= 1")
-    kind = "nonnegative" if family == "hadamard" else "m_matrix"
+    fam = harness.FAMILIES[family]
     try:
-        spec = harness.GeneratorSpec(kind=kind, order=order_min,
+        spec = harness.GeneratorSpec(kind=fam.kind, order=order_min,
                                      density=density, seed=seed,
                                      diagonal_margin=margin)
     except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
-    common = dict(order_min=order_min, order_max=order_max,
-                  with_examples=with_examples, tol=tol,
-                  golden_tol_chain=golden_tol_chain,
-                  golden_tol_direct=golden_tol_direct)
+    exponents = None
+    if family == "multi-fan":
+        if p_spec is None and m_count is None:
+            _fail(EXIT_INPUT, "multi-fan needs --p (and optionally --m)")
+        m = m_count if m_count is not None else len(p_spec.split(","))
+        exponents = _parse_exponents(p_spec, m)
     try:
-        if family == "hadamard":
-            reports = harness.run_hadamard_suite(trials, spec, **common)
-        elif family == "fan":
-            reports = harness.run_fan_suite(trials, spec, **common)
-        elif family == "hadamard-inverse":
-            reports = harness.run_hinv_suite(trials, spec, variant=variant,
-                                             **common)
-        else:
-            if p_spec is None and m_count is None:
-                _fail(EXIT_INPUT, "multi-fan needs --p (and optionally --m)")
-            m = m_count if m_count is not None else len(p_spec.split(","))
-            p = _parse_exponents(p_spec, m)
-            reports = harness.run_multi_fan_suite(trials, p, spec, **common)
+        reports = harness.run_suite(
+            fam, trials, spec, order_min=order_min, order_max=order_max,
+            with_examples=with_examples, variant=variant, exponents=exponents,
+            tol=tol, golden_tol_chain=golden_tol_chain,
+            golden_tol_direct=golden_tol_direct)
     except ClassMismatchError as exc:
         _fail(EXIT_CLASS, str(exc))
     except ConvergenceError as exc:
@@ -468,9 +411,8 @@ def cmd_verify(family, trials, seed, order, order_min, order_max, density,
     max_slack = 0.0
     n_viol = 0
     for rep in reports:
-        lower = rep.oracle_name.startswith("tau")
         for br in rep.bounds:
-            slack = (rep.oracle - br.value) if lower else (br.value - rep.oracle)
+            slack = (rep.oracle - br.value) if fam.lower else (br.value - rep.oracle)
             max_slack = max(max_slack, slack)
         n_viol += len(rep.violations)
         rows.append({

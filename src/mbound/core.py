@@ -91,29 +91,32 @@ def fan_power(a, p: int) -> np.ndarray:
     return out
 
 
-def _strongly_connected(a: np.ndarray) -> bool:
-    # digraph on exact nonzero off-diagonal pattern; n is small, two BFS
+def _scc_blocks(a: np.ndarray):
+    """Strongly connected components of the off-diagonal nonzero digraph
+    (exact zero threshold), as sorted index lists ordered by first index.
+    This is the package's one graph routine: irreducibility and the block
+    split of a reducible Perron root both come from it.
+
+    Boolean squaring of I + adjacency reaches the transitive closure in
+    about log2(n) products; i and j share a block iff each reaches the
+    other.
+    """
     n = a.shape[0]
-    if n == 1:
-        return a[0, 0] != 0.0
-    adj = a != 0.0
-    np.fill_diagonal(adj, False)
-
-    def reaches_all(mat):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in np.nonzero(mat[v])[0]:
-                    if not seen[w]:
-                        seen[w] = True
-                        nxt.append(int(w))
-            frontier = nxt
-        return bool(seen.all())
-
-    return reaches_all(adj) and reaches_all(adj.T)
+    reach = (a != 0.0) | np.eye(n, dtype=bool)
+    while True:
+        nxt = reach @ reach
+        if (nxt == reach).all():
+            break
+        reach = nxt
+    mutual = reach & reach.T
+    blocks = []
+    seen = np.zeros(n, dtype=bool)
+    for i in range(n):
+        if not seen[i]:
+            members = np.flatnonzero(mutual[i])
+            seen[members] = True
+            blocks.append(members.tolist())
+    return blocks
 
 
 def classify(a) -> MatrixClassification:
@@ -137,7 +140,7 @@ def classify(a) -> MatrixClassification:
         nonnegative=nonnegative,
         z_matrix=z_matrix,
         nonsingular_m_matrix=m_matrix,
-        irreducible=_strongly_connected(a),
+        irreducible=bool(a[0, 0] != 0.0) if n == 1 else len(_scc_blocks(a)) == 1,
         strictly_row_dd=strictly_dd,
     )
 

@@ -2,6 +2,8 @@
 
 Generates seeded random instances, computes the eigen-extremum oracle for
 each product, evaluates the full bound ladder, and reports violations.
+Each product family is defined once, in ``FAMILIES``: the CLI's ``bounds``
+evaluates one pair with it and ``run_suite`` runs the seeded trials.
 Trials are independent: each one derives its own RNG from (seed, trial
 index), so results do not depend on execution order and suites may fan out.
 
@@ -14,15 +16,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from . import bounds
-from .core import as_matrix, classify, fan_power, fan_product, hadamard
+from . import _lu, bounds
+from .core import (as_matrix, classify, fan_power, fan_product, hadamard,
+                   scale_similarity)
 from .errors import ClassMismatchError
-from .spectral import (SpectralConfig, DEFAULT_CONFIG, determinant, inverse,
-                       jacobi_radius, rho_nonnegative, tau_m_matrix)
+from .spectral import (determinant, inverse, jacobi_radius, rho_nonnegative,
+                       tau_m_matrix)
 
 __all__ = [
     "GeneratorSpec",
@@ -30,6 +33,9 @@ __all__ = [
     "gen_nonnegative",
     "gen_m_matrix",
     "lemma_product_m_matrix",
+    "Family",
+    "FAMILIES",
+    "run_suite",
     "run_hadamard_suite",
     "run_fan_suite",
     "run_hinv_suite",
@@ -118,8 +124,8 @@ def gen_m_matrix(spec: GeneratorSpec, rng: Optional[np.random.Generator] = None,
 
     A zero Perron root (acyclic pattern) would make the shift vanish, so
     alpha floors at the margin itself — every elimination pivot is then
-    the margin.  Classification of the result is asserted; failure raises
-    rather than silently retrying.
+    the margin.  The M-matrix gate of ``classify`` (``_lu.m_factor``) is
+    asserted on the result; failure raises rather than silently retrying.
     """
     if rng is None:
         rng = _trial_rng(spec.seed, 0)
@@ -127,7 +133,7 @@ def gen_m_matrix(spec: GeneratorSpec, rng: Optional[np.random.Generator] = None,
     rho = rho_nonnegative(p).value
     alpha = rho * (1.0 + spec.diagonal_margin) if rho > 0.0 else spec.diagonal_margin
     a = alpha * np.eye(p.shape[0]) - p
-    if not classify(a).nonsingular_m_matrix:
+    if _lu.m_factor(a) is None:
         raise ClassMismatchError("generated matrix failed M-matrix classification")
     return a
 
@@ -270,258 +276,250 @@ def _spec_pair(spec, order_min, order_max):
     return omin, omax
 
 
-def run_hadamard_suite(trials: int, spec: GeneratorSpec,
-                       order_min: Optional[int] = None,
-                       order_max: Optional[int] = None,
-                       with_examples: bool = False,
-                       tol: float = VIOLATION_TOL,
-                       golden_tol_chain: float = GOLDEN_TOL_CHAIN,
-                       golden_tol_direct: float = GOLDEN_TOL_DIRECT,
-                       cfg: SpectralConfig = DEFAULT_CONFIG):
-    """Upper-bound ladder for entrywise products of nonnegative pairs."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    omin, omax = _spec_pair(spec, order_min, order_max)
-    reports = []
-    for t in range(trials):
-        rng = _trial_rng(spec.seed, t)
-        if with_examples and t == 0:
-            a, b = WORKED_HADAMARD_A, WORKED_HADAMARD_B
-        else:
-            n = _sample_order(rng, omin, omax)
-            a = gen_nonnegative(spec, rng=rng, order=n)
-            b = gen_nonnegative(spec, rng=rng, order=n)
-        n = a.shape[0]
-        rho_a = rho_nonnegative(a, cfg).value
-        rho_b = rho_nonnegative(b, cfg).value
-        prod = hadamard(a, b)
-        oracle = rho_nonnegative(prod, cfg).value
-        ladder = (
-            bounds.rho_bound_product(rho_a, rho_b),
-            bounds.rho_bound_affine(a, b, rho_a, rho_b),
-            bounds.rho_bound_oval_deficit(a, b, rho_a, rho_b),
-            bounds.rho_bound_oval_rowmax(a, b, rho_a, rho_b),
-        )
-        violations = list(_flag_upper(oracle, ladder, tol))
-        checks = []
-        # anchor: the oracle can never undercut a diagonal product
-        anchor = oracle >= float(np.max(np.diag(prod))) - VIOLATION_TOL
-        checks.append(("diag_anchor", anchor))
-        # determinant chain: |det| <= oracle^n <= (tightest upper bound)^n
-        det = abs(determinant(prod))
-        c1 = _chain_le(det, oracle ** n)
-        c2 = _chain_le(oracle ** n, ladder[3].value ** n)
-        checks.append(("det_chain", c1 and c2))
-        # conditional dominance of the rowmax oval over the deficit oval
-        aux = bounds.aux_offdiag_max(a, b)
-        da, db = np.diag(a), np.diag(b)
-        hyp = bool(np.all(aux.t + db >= rho_b) and np.all(aux.s + da >= rho_a))
-        dom = None
-        if hyp:
-            dom = ladder[3].value <= ladder[2].value + DOMINANCE_TOL
-            checks.append(("conditional_dominance", dom))
-        if with_examples and t == 0:
-            checks.extend(_golden_checks("hadamard", oracle, ladder,
-                                         golden_tol_chain, golden_tol_direct))
-        violations.extend(name for name, ok in checks if not ok)
-        reports.append(TrialReport(
-            trial=t, order=n, digests=(_digest(a), _digest(b)),
-            oracle_name="rho_hadamard", oracle=oracle, bounds=ladder,
-            violations=tuple(violations), checks=tuple(checks),
-            dominance_hypothesis=hyp, dominance_holds=dom,
-        ))
-    return reports
+# ----------------------------------------------------------------------
+# the product families: one definition each, used by `bounds` and `verify`
+# ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Family:
+    """One product family.
 
-def run_fan_suite(trials: int, spec: GeneratorSpec,
-                  order_min: Optional[int] = None,
-                  order_max: Optional[int] = None,
-                  with_examples: bool = False,
-                  tol: float = VIOLATION_TOL,
-                  golden_tol_chain: float = GOLDEN_TOL_CHAIN,
-                  golden_tol_direct: float = GOLDEN_TOL_DIRECT,
-                  cfg: SpectralConfig = DEFAULT_CONFIG):
-    """Lower-bound ladder for Fan products of M-matrix pairs."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    omin, omax = _spec_pair(spec, order_min, order_max)
-    reports = []
-    for t in range(trials):
-        rng = _trial_rng(spec.seed, t)
-        if with_examples and t == 0:
-            a, b = WORKED_FAN_A, WORKED_FAN_B
-        else:
-            n = _sample_order(rng, omin, omax)
-            a = gen_m_matrix(spec, rng=rng, order=n)
-            b = gen_m_matrix(spec, rng=rng, order=n)
-        n = a.shape[0]
-        tau_a = tau_m_matrix(a, cfg).value
-        tau_b = tau_m_matrix(b, cfg).value
-        prod = fan_product(a, b)
-        oracle = tau_m_matrix(prod, cfg).value
-        ladder = (
-            bounds.tau_bound_product(tau_a, tau_b),
-            bounds.tau_bound_affine(a, b, tau_a, tau_b),
-            bounds.tau_bound_oval_deficit(a, b, tau_a, tau_b),
-            bounds.tau_bound_oval_rowmax(a, b, tau_a, tau_b),
-        )
-        violations = list(_flag_lower(oracle, ladder, tol))
-        checks = []
-        checks.append(("diag_anchor",
-                       oracle <= float(np.min(np.diag(prod))) + VIOLATION_TOL))
-        # determinant chain: |det| >= oracle^n >= bound^n (bound >= 0 or odd n)
-        det = abs(determinant(prod))
-        c1 = _chain_le(oracle ** n, det)
-        w = ladder[3].value
-        c2 = True
-        if w >= 0.0 or n % 2 == 1:
-            c2 = _chain_le(w * abs(w) ** (n - 1), oracle ** n)
-        checks.append(("det_chain", c1 and c2))
-        aux = bounds.aux_offdiag_max(a, b)
-        da, db = np.diag(a), np.diag(b)
-        hyp = bool(np.all(da >= tau_a + aux.s) and np.all(db >= tau_b + aux.t))
-        dom = None
-        if hyp:
-            dom = ladder[3].value >= ladder[2].value - DOMINANCE_TOL
-            checks.append(("conditional_dominance", dom))
-        if with_examples and t == 0:
-            checks.extend(_golden_checks("fan", oracle, ladder,
-                                         golden_tol_chain, golden_tol_direct))
-        violations.extend(name for name, ok in checks if not ok)
-        reports.append(TrialReport(
-            trial=t, order=n, digests=(_digest(a), _digest(b)),
-            oracle_name="tau_fan", oracle=oracle, bounds=ladder,
-            violations=tuple(violations), checks=tuple(checks),
-            dominance_hypothesis=hyp, dominance_holds=dom,
-        ))
-    return reports
-
-
-def run_hinv_suite(trials: int, spec: GeneratorSpec,
-                   order_min: Optional[int] = None,
-                   order_max: Optional[int] = None,
-                   with_examples: bool = False,
-                   variant: str = "proof",
-                   tol: float = VIOLATION_TOL,
-                   golden_tol_chain: float = GOLDEN_TOL_CHAIN,
-                   golden_tol_direct: float = GOLDEN_TOL_DIRECT,
-                   cfg: SpectralConfig = DEFAULT_CONFIG):
-    """Lower-bound ladder for A ∘ B⁻¹ over M-matrix pairs.
-
-    Per trial also asserts the M-matrix closure of the product and the
-    inverse-entry caps on the dominance-scaled denominator.
+    ``evaluate(mats, variant, exponents)`` returns (oracle, ladder, ctx),
+    ctx holding the per-pair quantities computed on the way;
+    ``checks(mats, oracle, ladder, ctx)`` returns the structural
+    (name, passed) pairs and the dominance hypothesis and verdict.
     """
+
+    kind: str  # GeneratorSpec kind of the generated factors
+    worked: tuple  # worked example factors, cycled for m-fold products
+    golden: str  # key into GOLDEN
+    oracle_name: str
+    lower: bool  # the ladder bounds the oracle from below
+    evaluate: Callable
+    checks: Callable
+
+
+def _hadamard_evaluate(mats, variant, exponents):
+    a, b = mats
+    rho_a = rho_nonnegative(a).value
+    rho_b = rho_nonnegative(b).value
+    prod = hadamard(a, b)
+    oracle = rho_nonnegative(prod).value
+    ladder = (
+        bounds.rho_bound_product(rho_a, rho_b),
+        bounds.rho_bound_affine(a, b, rho_a, rho_b),
+        bounds.rho_bound_oval_deficit(a, b, rho_a, rho_b),
+        bounds.rho_bound_oval_rowmax(a, b, rho_a, rho_b),
+    )
+    return oracle, ladder, {"prod": prod, "rho_a": rho_a, "rho_b": rho_b}
+
+
+def _hadamard_checks(mats, oracle, ladder, ctx):
+    a, b = mats
+    n = a.shape[0]
+    prod = ctx["prod"]
+    # anchor: the oracle can never undercut a diagonal product
+    checks = [("diag_anchor",
+               oracle >= float(np.max(np.diag(prod))) - VIOLATION_TOL)]
+    # determinant chain: |det| <= oracle^n <= (tightest upper bound)^n
+    det = abs(determinant(prod))
+    c1 = _chain_le(det, oracle ** n)
+    c2 = _chain_le(oracle ** n, ladder[3].value ** n)
+    checks.append(("det_chain", c1 and c2))
+    # conditional dominance of the rowmax oval over the deficit oval
+    aux = bounds.aux_offdiag_max(a, b)
+    da, db = np.diag(a), np.diag(b)
+    hyp = bool(np.all(aux.t + db >= ctx["rho_b"])
+               and np.all(aux.s + da >= ctx["rho_a"]))
+    dom = None
+    if hyp:
+        dom = ladder[3].value <= ladder[2].value + DOMINANCE_TOL
+        checks.append(("conditional_dominance", dom))
+    return checks, hyp, dom
+
+
+def _fan_evaluate(mats, variant, exponents):
+    a, b = mats
+    tau_a = tau_m_matrix(a).value
+    tau_b = tau_m_matrix(b).value
+    prod = fan_product(a, b)
+    oracle = tau_m_matrix(prod).value
+    ladder = (
+        bounds.tau_bound_product(tau_a, tau_b),
+        bounds.tau_bound_affine(a, b, tau_a, tau_b),
+        bounds.tau_bound_oval_deficit(a, b, tau_a, tau_b),
+        bounds.tau_bound_oval_rowmax(a, b, tau_a, tau_b),
+    )
+    return oracle, ladder, {"prod": prod, "tau_a": tau_a, "tau_b": tau_b}
+
+
+def _fan_checks(mats, oracle, ladder, ctx):
+    a, b = mats
+    n = a.shape[0]
+    prod = ctx["prod"]
+    checks = [("diag_anchor",
+               oracle <= float(np.min(np.diag(prod))) + VIOLATION_TOL)]
+    # determinant chain: |det| >= oracle^n >= bound^n (bound >= 0 or odd n)
+    det = abs(determinant(prod))
+    c1 = _chain_le(oracle ** n, det)
+    w = ladder[3].value
+    c2 = True
+    if w >= 0.0 or n % 2 == 1:
+        c2 = _chain_le(w * abs(w) ** (n - 1), oracle ** n)
+    checks.append(("det_chain", c1 and c2))
+    aux = bounds.aux_offdiag_max(a, b)
+    da, db = np.diag(a), np.diag(b)
+    hyp = bool(np.all(da >= ctx["tau_a"] + aux.s)
+               and np.all(db >= ctx["tau_b"] + aux.t))
+    dom = None
+    if hyp:
+        dom = ladder[3].value >= ladder[2].value - DOMINANCE_TOL
+        checks.append(("conditional_dominance", dom))
+    return checks, hyp, dom
+
+
+def _hinv_evaluate(mats, variant, exponents):
+    a, b = mats
+    binv = inverse(b)
+    tau_a = tau_m_matrix(a).value
+    tau_b = tau_m_matrix(b).value
+    rho_ja = jacobi_radius(a)
+    rho_jb = jacobi_radius(b)
+    prod = hadamard(a, binv)
+    oracle = tau_m_matrix(prod).value
+    scaling = bounds.dominance_scaling(b, binv)
+    ladder = (
+        bounds.tau_hinv_diag_floor(tau_a, binv),
+        bounds.tau_hinv_jacobi_ratio(a, b, rho_ja, rho_jb),
+        bounds.tau_hinv_chain(a, b, scaling),
+        bounds.tau_hinv_jacobi_oval(a, b, binv, rho_ja, rho_jb),
+        bounds.tau_hinv_deficit_oval(a, b, binv, tau_a, tau_b, scaling,
+                                     variant=variant),
+    )
+    return oracle, ladder, {"prod": prod, "binv": binv, "scaling": scaling}
+
+
+def _hinv_checks(mats, oracle, ladder, ctx):
+    """M-matrix closure of the product, and the inverse-entry caps on the
+    dominance-scaled denominator, whose inverse is D⁻¹ B⁻¹ D."""
+    scaling = ctx["scaling"]
+    caps = bounds.inverse_column_caps(scaling.scaled, scaling.chain)
+    sinv = scale_similarity(ctx["binv"], scaling.d)
+    # sinv[j, i] <= caps[j, i] * sinv[i, i]; the unit diagonal of caps
+    # makes i == j hold trivially
+    over = sinv > caps * np.diag(sinv)[None, :] + CAP_TOL
+    return [("product_is_m_matrix", _lu.m_factor(ctx["prod"]) is not None),
+            ("inverse_entry_caps", not over.any())], None, None
+
+
+def _multi_fan_evaluate(mats, variant, exponents):
+    taus_pow = [tau_m_matrix(fan_power(mk, pk)).value
+                for mk, pk in zip(mats, exponents.p)]
+    acc = mats[0]
+    for mk in mats[1:]:
+        acc = fan_product(acc, mk)
+    oracle = tau_m_matrix(acc).value
+    ladder = (bounds.tau_multi_fan(mats, exponents, taus_pow),)
+    return oracle, ladder, {"p": exponents.p, "taus_pow": taus_pow}
+
+
+def _multi_fan_checks(mats, oracle, ladder, ctx):
+    """Reduction identities: a single exponent (1,) returns tau of the
+    matrix itself, exponents (1,1) reproduce the affine two-matrix bound to
+    1e-12.  fan_power(A, 1) is an exact copy of A, so tau of the first
+    powers is tau of the factors."""
+    br = ladder[0]
+    p, taus = ctx["p"], ctx["taus_pow"]
+    checks = []
+    if p == (1,):
+        checks.append(("identity_single", abs(br.value - taus[0]) <= 1e-12))
+    if p == (1, 1):
+        affine = bounds.tau_bound_affine(mats[0], mats[1], taus[0], taus[1])
+        checks.append(("identity_affine", abs(br.value - affine.value) <= 1e-12))
+    if p == (2, 2):
+        tau_a = tau_m_matrix(mats[0]).value
+        tau_b = tau_m_matrix(mats[1]).value
+        checks.append(("chain_over_product",
+                       br.value >= tau_a * tau_b - VIOLATION_TOL))
+    return checks, None, None
+
+
+# keyed by the CLI family name, in the order the CLI lists them
+FAMILIES = {
+    "hadamard": Family(
+        "nonnegative", (WORKED_HADAMARD_A, WORKED_HADAMARD_B), "hadamard",
+        "rho_hadamard", False, _hadamard_evaluate, _hadamard_checks),
+    "fan": Family(
+        "m_matrix", (WORKED_FAN_A, WORKED_FAN_B), "fan",
+        "tau_fan", True, _fan_evaluate, _fan_checks),
+    "hadamard-inverse": Family(
+        "m_matrix", (WORKED_HINV_A, WORKED_HINV_B), "hinv",
+        "tau_hadamard_inverse", True, _hinv_evaluate, _hinv_checks),
+    "multi-fan": Family(
+        "m_matrix", (WORKED_FAN_A, WORKED_FAN_B, WORKED_FAN_A), "multi-fan",
+        "tau_multi_fan", True, _multi_fan_evaluate, _multi_fan_checks),
+}
+
+
+def run_suite(family: Family, trials: int, spec: GeneratorSpec,
+              order_min: Optional[int] = None,
+              order_max: Optional[int] = None,
+              with_examples: bool = False,
+              variant: str = "proof",
+              exponents: Optional[bounds.HolderExponents] = None,
+              tol: float = VIOLATION_TOL,
+              golden_tol_chain: float = GOLDEN_TOL_CHAIN,
+              golden_tol_direct: float = GOLDEN_TOL_DIRECT):
+    """Seeded trials of one family: every rung is flagged when it lands on
+    the wrong side of the oracle by more than tol, and every failed
+    structural check is flagged by name.  Products take m = len(exponents)
+    factors, or a pair when exponents is None; with_examples makes trial 0
+    the worked factors, checked against GOLDEN when m = 2."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    m = 2 if exponents is None else len(exponents.p)
     omin, omax = _spec_pair(spec, order_min, order_max)
+    flag = _flag_lower if family.lower else _flag_upper
+    gen = gen_nonnegative if family.kind == "nonnegative" else gen_m_matrix
     reports = []
     for t in range(trials):
         rng = _trial_rng(spec.seed, t)
         if with_examples and t == 0:
-            a, b = WORKED_HINV_A, WORKED_HINV_B
+            mats = [family.worked[k % len(family.worked)].copy()
+                    for k in range(m)]
         else:
             n = _sample_order(rng, omin, omax)
-            a = gen_m_matrix(spec, rng=rng, order=n)
-            b = gen_m_matrix(spec, rng=rng, order=n)
-        n = a.shape[0]
-        binv = inverse(b)
-        prod = hadamard(a, binv)
-        tau_a = tau_m_matrix(a, cfg).value
-        tau_b = tau_m_matrix(b, cfg).value
-        rho_ja = jacobi_radius(a, cfg)
-        rho_jb = jacobi_radius(b, cfg)
-        oracle = tau_m_matrix(prod, cfg).value
-        ladder = (
-            bounds.tau_hinv_diag_floor(tau_a, binv),
-            bounds.tau_hinv_jacobi_ratio(a, b, rho_ja, rho_jb),
-            bounds.tau_hinv_chain(a, b),
-            bounds.tau_hinv_jacobi_oval(a, b, binv, rho_ja, rho_jb),
-            bounds.tau_hinv_deficit_oval(a, b, binv, tau_a, tau_b, variant=variant),
-        )
-        violations = list(_flag_lower(oracle, ladder, tol))
-        checks = [("product_is_m_matrix", classify(prod).nonsingular_m_matrix)]
-        # inverse-entry caps on the dominance-scaled denominator
-        scaled, _, _ = bounds._dominance_scaled(b)
-        caps = bounds.inverse_column_caps(scaled)
-        sinv = inverse(scaled)
-        beta = np.diag(sinv)
-        caps_ok = True
-        for j in range(n):
-            for i in range(n):
-                if i != j and sinv[j, i] > caps[j, i] * beta[i] + CAP_TOL:
-                    caps_ok = False
-        checks.append(("inverse_entry_caps", caps_ok))
-        if with_examples and t == 0:
-            checks.extend(_golden_checks("hinv", oracle, ladder,
+            mats = [gen(spec, rng=rng, order=n) for _ in range(m)]
+        oracle, ladder, ctx = family.evaluate(mats, variant, exponents)
+        checks, hyp, dom = family.checks(mats, oracle, ladder, ctx)
+        if with_examples and t == 0 and m == 2:
+            checks.extend(_golden_checks(family.golden, oracle, ladder,
                                          golden_tol_chain, golden_tol_direct))
-        violations.extend(name for name, ok in checks if not ok)
+        violations = flag(oracle, ladder, tol) + tuple(
+            name for name, ok in checks if not ok)
         reports.append(TrialReport(
-            trial=t, order=n, digests=(_digest(a), _digest(b)),
-            oracle_name="tau_hadamard_inverse", oracle=oracle, bounds=ladder,
-            violations=tuple(violations), checks=tuple(checks),
+            trial=t, order=mats[0].shape[0],
+            digests=tuple(_digest(mk) for mk in mats),
+            oracle_name=family.oracle_name, oracle=oracle, bounds=ladder,
+            violations=violations, checks=tuple(checks),
+            dominance_hypothesis=hyp, dominance_holds=dom,
         ))
     return reports
+
+
+def run_hadamard_suite(trials: int, spec: GeneratorSpec, **options):
+    return run_suite(FAMILIES["hadamard"], trials, spec, **options)
+
+
+def run_fan_suite(trials: int, spec: GeneratorSpec, **options):
+    return run_suite(FAMILIES["fan"], trials, spec, **options)
+
+
+def run_hinv_suite(trials: int, spec: GeneratorSpec, **options):
+    return run_suite(FAMILIES["hadamard-inverse"], trials, spec, **options)
 
 
 def run_multi_fan_suite(trials: int, exponents: bounds.HolderExponents,
-                        spec: GeneratorSpec,
-                        order_min: Optional[int] = None,
-                        order_max: Optional[int] = None,
-                        with_examples: bool = False,
-                        tol: float = VIOLATION_TOL,
-                        golden_tol_chain: float = GOLDEN_TOL_CHAIN,
-                        golden_tol_direct: float = GOLDEN_TOL_DIRECT,
-                        cfg: SpectralConfig = DEFAULT_CONFIG):
-    """Hölder-exponent bound for m-fold Fan products (m = len(exponents)).
-
-    Also asserts the reduction identities: exponents (1,1) reproduce the
-    affine two-matrix bound to 1e-12, and a single exponent (1,) returns
-    tau of the matrix itself.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    m = len(exponents.p)
-    omin, omax = _spec_pair(spec, order_min, order_max)
-    reports = []
-    for t in range(trials):
-        rng = _trial_rng(spec.seed, t)
-        if with_examples and t == 0:
-            base = (WORKED_FAN_A, WORKED_FAN_B, WORKED_FAN_A)
-            mats = [base[k % 3].copy() for k in range(m)]
-            n = 3
-        else:
-            n = _sample_order(rng, omin, omax)
-            mats = [gen_m_matrix(spec, rng=rng, order=n) for _ in range(m)]
-        taus_pow = [tau_m_matrix(fan_power(mk, pk), cfg).value
-                    for mk, pk in zip(mats, exponents.p)]
-        acc = mats[0]
-        for mk in mats[1:]:
-            acc = fan_product(acc, mk)
-        oracle = tau_m_matrix(acc, cfg).value
-        br = bounds.tau_multi_fan(mats, exponents, taus_pow)
-        ladder = (br,)
-        violations = list(_flag_lower(oracle, ladder, tol))
-        checks = []
-        if m == 1 and exponents.p == (1,):
-            tau_a = tau_m_matrix(mats[0], cfg).value
-            checks.append(("identity_single", abs(br.value - tau_a) <= 1e-12))
-        if m == 2 and exponents.p == (1, 1):
-            tau_a = tau_m_matrix(mats[0], cfg).value
-            tau_b = tau_m_matrix(mats[1], cfg).value
-            affine = bounds.tau_bound_affine(mats[0], mats[1], tau_a, tau_b)
-            checks.append(("identity_affine", abs(br.value - affine.value) <= 1e-12))
-        if m == 2 and exponents.p == (2, 2):
-            tau_a = tau_m_matrix(mats[0], cfg).value
-            tau_b = tau_m_matrix(mats[1], cfg).value
-            checks.append(("chain_over_product",
-                           br.value >= tau_a * tau_b - VIOLATION_TOL))
-        if with_examples and t == 0 and m == 2:
-            checks.extend(_golden_checks("multi-fan", oracle, ladder,
-                                         golden_tol_chain, golden_tol_direct))
-        violations.extend(name for name, ok in checks if not ok)
-        reports.append(TrialReport(
-            trial=t, order=n, digests=tuple(_digest(mk) for mk in mats),
-            oracle_name="tau_multi_fan", oracle=oracle, bounds=ladder,
-            violations=tuple(violations), checks=tuple(checks),
-        ))
-    return reports
+                        spec: GeneratorSpec, **options):
+    return run_suite(FAMILIES["multi-fan"], trials, spec, exponents=exponents,
+                     **options)

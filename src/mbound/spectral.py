@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import _lu
-from .core import as_matrix, classify
+from .core import _scc_blocks, as_matrix
 from .errors import ClassMismatchError, ConvergenceError
 
 __all__ = [
@@ -59,7 +59,7 @@ class SpectralResult:
 _SQUARINGS = 6  # power-iterate m^(2^6): same bracket, 64x the convergence rate
 
 
-def _power_perron(a: np.ndarray, cfg: SpectralConfig):
+def _power_perron(a: np.ndarray, cfg: SpectralConfig, below: float = -math.inf):
     """Power iteration on the primitive shift a + cI, c = max entry of a.
 
     The shift scales with a, so the iteration count and the relative
@@ -72,7 +72,9 @@ def _power_perron(a: np.ndarray, cfg: SpectralConfig):
     ratios still bracket the root, which the original root is recovered
     from by a 2^k-th root.  Convergence needs both the bracket width and
     the step change below rel_tol relative to the returned value, and the
-    reported residual is the final bracket width on that scale.
+    reported residual is the final bracket width on that scale.  The
+    iteration also stops once the upper bracket, mapped back to a's root,
+    is strictly below ``below``: a's root then cannot be the larger one.
     """
     n = a.shape[0]
     c = float(a.max())
@@ -86,6 +88,10 @@ def _power_perron(a: np.ndarray, cfg: SpectralConfig):
         m_pow = scaled @ scaled
         log_scale += math.log(s) / 2.0 ** e
     scale2 = 2.0 ** _SQUARINGS
+
+    def root(h):  # the root of a that the ratio h of m_pow stands for
+        return math.exp(log_scale + math.log(h) / scale2) - c
+
     width_tol = cfg.rel_tol * scale2
     v = np.ones(n)
     lam_prev = np.inf
@@ -97,61 +103,15 @@ def _power_perron(a: np.ndarray, cfg: SpectralConfig):
         hi = float(ratios.max())
         lo = float(ratios.min())
         width = (hi - lo) / hi
-        if width <= width_tol and abs(hi - lam_prev) <= width_tol * hi:
-            rho_m = math.exp(log_scale + math.log(hi) / scale2)
-            return rho_m - c, w / w.max(), k, width / scale2
+        if (width <= width_tol and abs(hi - lam_prev) <= width_tol * hi
+                or root(hi) < below):
+            return root(hi), w / w.max(), k, width / scale2
         lam_prev = hi
         v = w / float(w.max())
     raise ConvergenceError(
         f"power iteration did not converge in {cfg.max_iter} iterations",
-        best_estimate=math.exp(log_scale + math.log(hi) / scale2) - c,
+        best_estimate=root(hi),
     )
-
-
-def _scc_blocks(a: np.ndarray):
-    """Strongly connected components of the off-diagonal nonzero digraph,
-    as lists of vertex indices (Kosaraju; exact zero threshold)."""
-    n = a.shape[0]
-    adj = a != 0.0
-    np.fill_diagonal(adj, False)
-    order = []
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [(start, iter(np.nonzero(adj[start])[0]))]
-        seen[start] = True
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                w = int(w)
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, iter(np.nonzero(adj[w])[0])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(v)
-                stack.pop()
-    comp = [-1] * n
-    blocks = []
-    for start in reversed(order):
-        if comp[start] != -1:
-            continue
-        members = [start]
-        comp[start] = len(blocks)
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in np.nonzero(adj[:, v])[0]:  # reverse edges
-                w = int(w)
-                if comp[w] == -1:
-                    comp[w] = len(blocks)
-                    members.append(w)
-                    queue.append(w)
-        blocks.append(sorted(members))
-    return blocks
 
 
 def rho_nonnegative(a, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralResult:
@@ -159,7 +119,9 @@ def rho_nonnegative(a, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralResult:
 
     Irreducible inputs get the positive eigenvector as well; reducible ones
     are split into strongly connected blocks and the maximum block root is
-    returned without a vector.
+    returned without a vector.  The 1x1 blocks go first, so a larger block
+    whose bracket falls below the best root so far is abandoned early; the
+    residual is then the bracket width of the block that holds the root.
     """
     a = as_matrix(a)
     if np.any(a < 0.0):
@@ -169,21 +131,21 @@ def rho_nonnegative(a, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralResult:
         val = float(a[0, 0])
         vec = np.ones(1) if val != 0.0 else None
         return SpectralResult(val, vec, 0, 0.0)
-    if classify(a).irreducible:
+    blocks = _scc_blocks(a)
+    if len(blocks) == 1:
         rho, vec, iters, width = _power_perron(a, cfg)
         return SpectralResult(rho, vec, iters, width)
     best = 0.0
     iters = 0
     width = 0.0
-    for idx in _scc_blocks(a):
-        sub = a[np.ix_(idx, idx)]
+    for idx in sorted(blocks, key=len):
         if len(idx) == 1:
-            best = max(best, float(sub[0, 0]))
+            best = max(best, float(a[idx[0], idx[0]]))
             continue
-        r, _, k, w = _power_perron(sub, cfg)
-        best = max(best, r)
+        r, _, k, w = _power_perron(a[np.ix_(idx, idx)], cfg, best)
         iters += k
-        width = max(width, w)
+        if r > best:
+            best, width = r, w
     return SpectralResult(best, None, iters, width)
 
 

@@ -172,7 +172,8 @@ def test_hinv_ladder_reference_values(hinv_pair):
         0.07002710206251932, abs=1e-9)
     assert B.tau_hinv_jacobi_ratio(a, b, rja, rjb).value == pytest.approx(
         0.04805774074519007, abs=1e-9)
-    assert B.tau_hinv_chain(a, b).value == pytest.approx(0.08, abs=1e-12)
+    assert B.tau_hinv_chain(a, b, B.dominance_scaling(b, binv)).value == pytest.approx(
+        0.08, abs=1e-12)
     assert B.tau_hinv_jacobi_oval(a, b, binv, rja, rjb).value == pytest.approx(
         0.14567819318505643, abs=1e-9)
 
@@ -180,17 +181,18 @@ def test_hinv_ladder_reference_values(hinv_pair):
 def test_hinv_deficit_oval_variants(hinv_pair):
     a, b = hinv_pair
     binv = inverse(b)
-    br = B.tau_hinv_deficit_oval(a, b, binv, TAU_HINV_A, TAU_HINV_B)
+    scaling = B.dominance_scaling(b, binv)
+    br = B.tau_hinv_deficit_oval(a, b, binv, TAU_HINV_A, TAU_HINV_B, scaling)
     assert br.components["variant"] == "proof"
     assert br.value == pytest.approx(0.19287140768127858, abs=1e-9)
     assert br.components["statement_value"] == pytest.approx(
         0.038465817293569515, abs=1e-9)
-    alt = B.tau_hinv_deficit_oval(a, b, binv, TAU_HINV_A, TAU_HINV_B,
+    alt = B.tau_hinv_deficit_oval(a, b, binv, TAU_HINV_A, TAU_HINV_B, scaling,
                                   variant="statement")
     assert alt.value == pytest.approx(0.038465817293569515, abs=1e-9)
     assert alt.components["proof_value"] == pytest.approx(br.value, abs=1e-12)
     with pytest.raises(ValueError):
-        B.tau_hinv_deficit_oval(a, b, binv, TAU_HINV_A, TAU_HINV_B,
+        B.tau_hinv_deficit_oval(a, b, binv, TAU_HINV_A, TAU_HINV_B, scaling,
                                 variant="nope")
 
 
@@ -203,11 +205,12 @@ def test_hinv_ladder_validity_random():
         oracle = tau_m_matrix(hadamard(a, binv)).value
         ta, tb = tau_m_matrix(a).value, tau_m_matrix(b).value
         rja, rjb = jacobi_radius(a), jacobi_radius(b)
+        scaling = B.dominance_scaling(b, binv)
         for br in (B.tau_hinv_diag_floor(ta, binv),
                    B.tau_hinv_jacobi_ratio(a, b, rja, rjb),
-                   B.tau_hinv_chain(a, b),
+                   B.tau_hinv_chain(a, b, scaling),
                    B.tau_hinv_jacobi_oval(a, b, binv, rja, rjb),
-                   B.tau_hinv_deficit_oval(a, b, binv, ta, tb)):
+                   B.tau_hinv_deficit_oval(a, b, binv, ta, tb, scaling)):
             assert br.value <= oracle + 1e-8, br.name
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from mbound import __version__
 from mbound.cli import main, read_matrix, write_matrix
 from mbound.errors import MatrixFormatError
 from mbound.harness import (WORKED_FAN_A, WORKED_FAN_B, WORKED_HADAMARD_A,
@@ -133,6 +134,15 @@ def test_classify_missing_file_exits_2(runner):
     assert res.exit_code == 2
 
 
+def test_classify_one_by_one_jsonl(runner, tmp_path):
+    path = str(tmp_path / "one.txt")
+    with open(path, "w") as fh:
+        fh.write("5\n")
+    res = runner.invoke(main, ["classify", path, "--format", "jsonl"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["irreducible"] is True
+
+
 def test_classify_jsonl(runner):
     res = runner.invoke(main, ["classify", fixture("ex21_a.txt"),
                                "--format", "jsonl"])
@@ -226,6 +236,28 @@ def test_bounds_multi_fan_bad_exponents(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("family, stem", [
+    ("hadamard", "ex21"), ("fan", "ex31"), ("hadamard-inverse", "ex41"),
+    ("multi-fan", "ex31")])
+def test_bounds_and_verify_agree_on_the_worked_pair(runner, family, stem):
+    # one definition per family: the oracle and every rung that `bounds`
+    # reports for the worked pair are exactly trial 0 of `verify`
+    p = ["--p", "1,1"] if family == "multi-fan" else []
+    res = runner.invoke(main, ["bounds", family, fixture(stem + "_a.txt"),
+                               fixture(stem + "_b.txt"), "--format", "jsonl",
+                               *p])
+    assert res.exit_code == 0
+    rows = [json.loads(line) for line in res.output.strip().splitlines()]
+    ver = runner.invoke(main, ["verify", family, "--with-paper-examples",
+                               "--trials", "1", "--format", "jsonl", *p])
+    assert ver.exit_code == 0
+    trial0 = json.loads(ver.output.splitlines()[0])
+    reported = {r["bound"]: r["value"] for r in rows}
+    assert rows[0]["bound"] == "oracle"
+    assert set(trial0) - {"trial", "order", "violations"} == set(reported)
+    assert reported == {name: trial0[name] for name in reported}
+
+
 # --- verify -------------------------------------------------------------------
 
 def test_verify_small_run_exit_0(runner):
@@ -281,6 +313,14 @@ def test_verify_tsv_has_header(runner):
     assert res.exit_code == 0
     header = res.output.splitlines()[0].split("\t")
     assert header[0] == "trial" and "oracle" in header
+
+
+def test_version_runs_from_source(runner):
+    # the version comes from the package, not from install metadata, so it
+    # works from a source checkout too
+    res = runner.invoke(main, ["--version"])
+    assert res.exit_code == 0
+    assert __version__ in res.output
 
 
 def test_in_process_bounds_frees_redirected_stdout():

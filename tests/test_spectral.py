@@ -12,6 +12,7 @@ from mbound import _lu
 from mbound.core import cyclic_permutation, fan_product, hadamard
 from mbound.errors import (ClassMismatchError, ConvergenceError,
                            SingularMatrixError)
+from mbound.harness import GeneratorSpec, _sample_order, _trial_rng, gen_m_matrix
 from mbound.spectral import (DEFAULT_CONFIG, SpectralConfig, determinant,
                              inverse, jacobi_radius, rho_nonnegative,
                              tau_m_matrix)
@@ -97,6 +98,22 @@ def test_convergence_error_carries_estimate():
     assert info.value.best_estimate == pytest.approx((5 + 33 ** 0.5) / 2, rel=0.2)
 
 
+def test_rho_reducible_skips_a_block_below_the_root():
+    # inverse of A o B^-1 for the pair drawn at trial 0 of this spec: its
+    # 10x10 block has two top eigenvalues that power iteration cannot
+    # separate, but a 1x1 block already exceeds that block's bracket
+    spec = GeneratorSpec("m_matrix", order=10, density=0.3, seed=67110378,
+                         diagonal_margin=0.05)
+    rng = _trial_rng(spec.seed, 0)
+    n = _sample_order(rng, 10, 12)
+    a = gen_m_matrix(spec, rng=rng, order=n)
+    b = gen_m_matrix(spec, rng=rng, order=n)
+    prod = a * inverse(b)
+    r = tau_m_matrix(prod)
+    assert n == 12 and r.iterations < 100
+    assert r.value == pytest.approx(min(np.linalg.eigvals(prod).real), rel=1e-12)
+
+
 def test_tau_worked_example(fan_pair):
     a, b = fan_pair
     assert tau_m_matrix(a).value == pytest.approx(np_tau(a), abs=1e-10)
@@ -139,6 +156,15 @@ def test_jacobi_radius_zero_diagonal():
 def test_inverse_matches_numpy(hinv_pair):
     _, b = hinv_pair
     np.testing.assert_allclose(inverse(b), np.linalg.inv(b), atol=1e-12)
+
+
+def test_lu_factor_permutation():
+    a = np.random.default_rng(11).normal(size=(6, 6))
+    lu, perm, sign, singular = _lu.lu_factor(a)
+    lower = np.tril(lu, -1) + np.eye(6)
+    np.testing.assert_allclose(lower @ np.triu(lu), a[perm], atol=1e-12)
+    assert not singular
+    assert sign == np.linalg.det(np.eye(6)[perm])
 
 
 def test_inverse_singular():
