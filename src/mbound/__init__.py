@@ -11,8 +11,8 @@ from .core import (MatrixClassification, as_matrix, classify,
                    perturb_cyclic, scale_similarity)
 from .errors import (ClassMismatchError, ConvergenceError, MatrixFormatError,
                      MboundError, SingularMatrixError)
-from .spectral import (SpectralConfig, SpectralResult, determinant, inverse,
-                       jacobi_radius, rho_nonnegative, tau_m_matrix)
+from .spectral import (SpectralConfig, SpectralResult, inverse, jacobi_radius,
+                       rho_nonnegative, tau_m_matrix)
 from .bounds import (AuxChain, BoundResult, DominanceScaling, HolderExponents,
                      OffdiagMax, aux_chain, aux_offdiag_max, cassini_contains,
                      dominance_scaling, inverse_column_caps, rho_bound_affine,
@@ -40,7 +40,7 @@ __all__ = [
     "SingularMatrixError", "ConvergenceError",
     # spectral
     "SpectralConfig", "SpectralResult", "rho_nonnegative", "tau_m_matrix",
-    "jacobi_radius", "inverse", "determinant",
+    "jacobi_radius", "inverse",
     # bounds
     "BoundResult", "OffdiagMax", "AuxChain", "DominanceScaling",
     "HolderExponents", "aux_offdiag_max", "aux_chain", "dominance_scaling",

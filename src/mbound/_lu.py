@@ -1,11 +1,10 @@
 """Hand-rolled dense elimination for desk-scale matrices.
 
 Two kernels live here.  ``lu_factor`` eliminates with partial pivoting
-and serves general matrices; ``inverse`` and ``determinant`` read its
-factors.  ``m_factor``/``m_inverse`` eliminate a Z-matrix without
-pivoting: that is the nonsingular M-matrix gate (all pivots positive)
-and, from the same packed factors, an inverse that is entrywise >= 0
-with exact structural zeros.
+and serves general matrices; ``inverse`` reads its factors.  ``m_factor``/
+``m_inverse`` eliminate a Z-matrix without pivoting: that is the
+nonsingular M-matrix gate (all pivots positive) and, from the same packed
+factors, an inverse that is entrywise >= 0 with exact structural zeros.
 """
 from __future__ import annotations
 
@@ -25,46 +24,32 @@ def _pivot_floor(a: np.ndarray) -> float:
 
 
 def lu_factor(a: np.ndarray):
-    """Factor PA = LU; returns (lu, perm, perm_sign, singular).
+    """Factor PA = LU; returns (lu, perm).
 
     ``lu`` packs L (unit lower, implicit diagonal) and U; row k of PA is
-    row perm[k] of a.  ``singular`` is True when some pivot falls below the
-    relative floor; factorization still completes with whatever pivots
-    exist so determinant() can return 0.
+    row perm[k] of a.  Raises SingularMatrixError at the first pivot below
+    the relative floor.
     """
     n = a.shape[0]
     lu = a.astype(np.float64, copy=True)
     perm = np.arange(n)
-    sign = 1.0
     floor = _pivot_floor(a)
-    singular = False
     for k in range(n):
         p = k + int(np.argmax(np.abs(lu[k:, k])))
         if abs(lu[p, k]) <= floor:
-            singular = True
-            continue
+            raise SingularMatrixError("matrix is singular within pivot tolerance")
         if p != k:
             lu[[k, p]] = lu[[p, k]]
             perm[[k, p]] = perm[[p, k]]
-            sign = -sign
         piv = lu[k, k]
         lu[k + 1:, k] /= piv
         lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, perm, sign, singular
-
-
-def determinant(a: np.ndarray) -> float:
-    lu, _, sign, singular = lu_factor(a)
-    if singular:
-        return 0.0
-    return float(sign * np.prod(np.diag(lu)))
+    return lu, perm
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
     """A^-1 via LU solves against the identity columns."""
-    lu, perm, _, singular = lu_factor(a)
-    if singular:
-        raise SingularMatrixError("matrix is singular within pivot tolerance")
+    lu, perm = lu_factor(a)
     n = a.shape[0]
     inv = np.empty((n, n), dtype=np.float64)
     for col in range(n):

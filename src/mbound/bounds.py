@@ -22,15 +22,16 @@ tau_hinv_deficit_oval pairwise oval with tau deficits (two variants)
 tau_multi_fan         Hölder-exponent bound for an m-fold Fan product
 ====================  ======================================================
 
-All pairwise scans run over ordered pairs i != j in row-major order; ties
-keep the first pair.  Radicands are clamped at zero (see ``_clamped_sqrt``).
+Every oval rung is one pairwise form (``_oval``) whose radicand factors as
+4·u_i·v_j, with u and v one entry per index; the scan runs over ordered
+pairs i != j in row-major order, and ties keep the first pair.  u and v are
+clamped at zero per index (see ``_clamp_nonneg``).
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,12 +71,12 @@ log = logging.getLogger("mbound.bounds")
 CLAMP_WARN = 1e-10
 
 
-def _clamped_sqrt(x: float) -> float:
-    if x < 0.0:
-        if x < -CLAMP_WARN:
-            log.warning("clamping negative radicand %.6e to zero", x)
-        x = 0.0
-    return sqrt(x)
+def _clamp_nonneg(w: np.ndarray, scale: float) -> np.ndarray:
+    """w with negative entries set to zero; an entry below −CLAMP_WARN·scale
+    is beyond rounding dust and is logged."""
+    if w.min() < -CLAMP_WARN * scale:
+        log.warning("clamping negative radicand factor %.6e to zero", w.min())
+    return np.maximum(w, 0.0)
 
 
 @dataclass(frozen=True)
@@ -194,27 +195,24 @@ def inverse_column_caps(a, chain: Optional[AuxChain] = None) -> np.ndarray:
     return caps
 
 
-def _oval(da, db, radicand, upper: bool):
+def _oval(x, u, v, upper: bool):
     """(value, (i, j)): over ordered pairs i != j, the largest upper root
     (upper=True) or the smallest lower root of the pairwise oval
-    0.5 (x + y ± sqrt((x − y)² + radicand(i, j))), x = da_i db_i and
-    y = da_j db_j; the first row-major pair wins ties."""
-    n = len(da)
+    0.5 (x_i + x_j ± sqrt((x_i − x_j)² + 4 u_i v_j)); the first row-major
+    pair wins ties.  u and v are clamped at zero on the scale of x, and the
+    root is formed as a hypot of x_i − x_j and 2 √u_i √v_j, so no
+    intermediate leaves float64 range before the root does."""
+    n = len(x)
     if n == 1:
-        return float(da[0] * db[0]), (0, 0)
+        return float(x[0]), (0, 0)
     sign = 1.0 if upper else -1.0
-    best = None
-    arg = (-1, -1)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            x, y = da[i] * db[i], da[j] * db[j]
-            cand = 0.5 * (x + y + sign * _clamped_sqrt((x - y) ** 2 + radicand(i, j)))
-            if best is None or sign * cand > sign * best:
-                best = cand
-                arg = (i, j)
-    return best, arg
+    scale = np.abs(x).max()
+    cross = (2.0 * np.sqrt(_clamp_nonneg(u, scale))[:, None]
+             * np.sqrt(_clamp_nonneg(v, scale)))
+    roots = 0.5 * (x[:, None] + x + sign * np.hypot(x[:, None] - x, cross))
+    np.fill_diagonal(roots, -sign * np.inf)
+    k = int(np.argmax(sign * roots))
+    return float(roots.flat[k]), divmod(k, n)
 
 
 # ----------------------------------------------------------------------
@@ -248,12 +246,8 @@ def rho_bound_oval_deficit(a, b, rho_a: float, rho_b: float) -> BoundResult:
     (rho(A)−a_ii)(rho(B)−b_ii)(rho(A)−a_jj)(rho(B)−b_jj)."""
     a, b = _pair(a, b)
     da, db = np.diag(a), np.diag(b)
-    value, arg = _oval(
-        da, db,
-        lambda i, j: 4.0 * (rho_a - da[i]) * (rho_b - db[i])
-        * (rho_a - da[j]) * (rho_b - db[j]),
-        upper=True,
-    )
+    u = (rho_a - da) * (rho_b - db)
+    value, arg = _oval(da * db, u, u, upper=True)
     return BoundResult(
         "rho_oval_deficit", "upper", value,
         {"rho_a": rho_a, "rho_b": rho_b, "argmax_pair": arg},
@@ -266,11 +260,8 @@ def rho_bound_oval_rowmax(a, b, rho_a: float, rho_b: float) -> BoundResult:
     a, b = _pair(a, b)
     aux = aux_offdiag_max(a, b)
     da, db = np.diag(a), np.diag(b)
-    value, arg = _oval(
-        da, db,
-        lambda i, j: 4.0 * aux.t[i] * aux.s[j] * (rho_a - da[i]) * (rho_b - db[j]),
-        upper=True,
-    )
+    value, arg = _oval(da * db, aux.t * (rho_a - da), aux.s * (rho_b - db),
+                       upper=True)
     return BoundResult(
         "rho_oval_rowmax", "upper", value,
         {
@@ -310,12 +301,8 @@ def tau_bound_oval_deficit(a, b, tau_a: float, tau_b: float) -> BoundResult:
     """Pairwise oval with full tau deficits in the radicand."""
     a, b = _pair(a, b)
     da, db = np.diag(a), np.diag(b)
-    value, arg = _oval(
-        da, db,
-        lambda i, j: 4.0 * (da[i] - tau_a) * (db[i] - tau_b)
-        * (da[j] - tau_a) * (db[j] - tau_b),
-        upper=False,
-    )
+    u = (da - tau_a) * (db - tau_b)
+    value, arg = _oval(da * db, u, u, upper=False)
     return BoundResult(
         "tau_oval_deficit", "lower", value,
         {"tau_a": tau_a, "tau_b": tau_b, "argmin_pair": arg},
@@ -327,11 +314,8 @@ def tau_bound_oval_rowmax(a, b, tau_a: float, tau_b: float) -> BoundResult:
     a, b = _pair(a, b)
     aux = aux_offdiag_max(a, b)
     da, db = np.diag(a), np.diag(b)
-    value, arg = _oval(
-        da, db,
-        lambda i, j: 4.0 * aux.t[i] * aux.s[j] * (da[i] - tau_a) * (db[j] - tau_b),
-        upper=False,
-    )
+    value, arg = _oval(da * db, aux.t * (da - tau_a), aux.s * (db - tau_b),
+                       upper=False)
     return BoundResult(
         "tau_oval_rowmax", "lower", value,
         {
@@ -431,12 +415,9 @@ def tau_hinv_jacobi_oval(a, b, binv, rho_ja: float, rho_jb: float) -> BoundResul
     _, binv = _pair(b, binv)
     da = np.diag(a)
     beta = np.diag(binv)
-    g = (rho_ja * rho_jb) ** 2
-    value, arg = _oval(
-        da, beta,
-        lambda i, j: 4.0 * da[i] * da[j] * beta[i] * beta[j] * g,
-        upper=False,
-    )
+    x = da * beta
+    u = x * (rho_ja * rho_jb)
+    value, arg = _oval(x, u, u, upper=False)
     return BoundResult(
         "tau_hinv_jacobi_oval", "lower", value,
         {"rho_ja": rho_ja, "rho_jb": rho_jb, "argmin_pair": arg},
@@ -468,20 +449,12 @@ def tau_hinv_deficit_oval(a, b, binv, tau_a: float, tau_b: float,
     da, db = np.diag(a), np.diag(b)
     beta = np.diag(binv)
 
+    x = da * beta
     s_stmt = _offdiag_rowmax(a)
-    v_stmt, arg_stmt = _oval(
-        da, beta,
-        lambda i, j: 4.0 * s_stmt[i] * s_stmt[j] * beta[i] * beta[j]
-        * (da[i] - tau_a) * (db[j] - tau_b),
-        upper=False,
-    )
-    s_chain = scaling.chain.s
-    v_proof, arg_proof = _oval(
-        da, beta,
-        lambda i, j: 4.0 * s_chain[i] * s_chain[j] * beta[i] * beta[j]
-        * (da[i] - tau_a) * (da[j] - tau_a),
-        upper=False,
-    )
+    v_stmt, arg_stmt = _oval(x, s_stmt * beta * (da - tau_a),
+                             s_stmt * beta * (db - tau_b), upper=False)
+    u_proof = scaling.chain.s * beta * (da - tau_a)
+    v_proof, arg_proof = _oval(x, u_proof, u_proof, upper=False)
     value, arg = (v_proof, arg_proof) if variant == "proof" else (v_stmt, arg_stmt)
     return BoundResult(
         "tau_hinv_deficit_oval", "lower", value,

@@ -4,14 +4,16 @@ Subcommands: ``classify`` (structural flags for one matrix), ``spectral``
 (rho or tau of one matrix), ``bounds`` (one bound family on explicit
 matrix files), ``verify`` (randomized suites).
 
-Exit codes: 0 ok, 2 input error (unreadable/malformed/non-square file,
-bad flag combination), 3 class gate (matrix fails the precondition of the
-requested quantity), 4 bound violation (a reported bound landed on the
-wrong side of its oracle — either an implementation bug or a genuine
+Exit codes: 0 ok, 1 an iteration did not converge, 2 input error
+(unreadable/malformed/non-square file, bad flag combination, a value out
+of range), 3 class gate (matrix fails the precondition of the requested
+quantity, or is singular), 4 bound violation (a reported bound landed on
+the wrong side of its oracle — either an implementation bug or a genuine
 counterexample; the report names the offending formula).
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -183,6 +185,20 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
+@contextlib.contextmanager
+def _exit_codes():
+    """Map the errors of a computation to exit codes: a failed class gate
+    or a singular matrix is 3, a bad value 2, non-convergence 1."""
+    try:
+        yield
+    except (ClassMismatchError, SingularMatrixError) as exc:
+        _fail(EXIT_CLASS, str(exc))
+    except ConvergenceError as exc:
+        _fail(1, f"iteration did not converge: {exc}")
+    except ValueError as exc:
+        _fail(EXIT_INPUT, str(exc))
+
+
 def _load(path: str) -> np.ndarray:
     try:
         return read_matrix(path)
@@ -242,12 +258,8 @@ def cmd_spectral(which, file, fmt):
     """Perron root (rho) of a nonnegative matrix, or minimum eigenvalue
     (tau) of a nonsingular M-matrix."""
     a = _load(file)
-    try:
+    with _exit_codes():
         res = rho_nonnegative(a) if which == "rho" else tau_m_matrix(a)
-    except ClassMismatchError as exc:
-        _fail(EXIT_CLASS, str(exc))
-    except ConvergenceError as exc:
-        _fail(1, f"iteration did not converge: {exc}")
     rows = [{"quantity": which, "value": res.value,
              "iterations": res.iterations, "residual": res.residual}]
     if fmt == "table":
@@ -293,15 +305,8 @@ def cmd_bounds(family, files, variant, p_spec, tol, fmt):
     if family == "multi-fan":
         exponents = _parse_exponents(p_spec, len(mats))
     fam = harness.FAMILIES[family]
-    try:
+    with _exit_codes():
         oracle, ladder, _ = fam.evaluate(mats, variant, exponents)
-    except (ClassMismatchError, SingularMatrixError) as exc:
-        _fail(EXIT_CLASS, str(exc))
-    except ConvergenceError as exc:
-        _fail(1, f"iteration did not converge: {exc}")
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
-
     rows = _bound_rows(oracle, ladder, fam.lower)
     if fmt == "table":
         _echo(f"oracle: {_FMT % oracle}")
@@ -382,31 +387,21 @@ def cmd_verify(family, trials, seed, order, order_min, order_max, density,
     if trials < 1:
         _fail(EXIT_INPUT, "--trials must be >= 1")
     fam = harness.FAMILIES[family]
-    try:
+    with _exit_codes():
         spec = harness.GeneratorSpec(kind=fam.kind, order=order_min,
                                      density=density, seed=seed,
                                      diagonal_margin=margin)
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
-    exponents = None
-    if family == "multi-fan":
-        if p_spec is None and m_count is None:
-            _fail(EXIT_INPUT, "multi-fan needs --p (and optionally --m)")
-        m = m_count if m_count is not None else len(p_spec.split(","))
-        exponents = _parse_exponents(p_spec, m)
-    try:
+        exponents = None
+        if family == "multi-fan":
+            if p_spec is None and m_count is None:
+                _fail(EXIT_INPUT, "multi-fan needs --p (and optionally --m)")
+            m = m_count if m_count is not None else len(p_spec.split(","))
+            exponents = _parse_exponents(p_spec, m)
         reports = harness.run_suite(
             fam, trials, spec, order_min=order_min, order_max=order_max,
             with_examples=with_examples, variant=variant, exponents=exponents,
             tol=tol, golden_tol_chain=golden_tol_chain,
             golden_tol_direct=golden_tol_direct)
-    except ClassMismatchError as exc:
-        _fail(EXIT_CLASS, str(exc))
-    except ConvergenceError as exc:
-        _fail(1, f"iteration did not converge: {exc}")
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
-
     rows = []
     max_slack = 0.0
     n_viol = 0

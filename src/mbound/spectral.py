@@ -1,4 +1,4 @@
-"""Perron roots, minimum M-matrix eigenvalues, inverses, determinants.
+"""Perron roots, minimum M-matrix eigenvalues, Jacobi radii and inverses.
 
 The spectral radius of a nonnegative matrix is computed by power iteration
 with a Collatz–Wielandt bracket; no library eigensolver is involved, so the
@@ -22,7 +22,6 @@ __all__ = [
     "rho_nonnegative",
     "tau_m_matrix",
     "inverse",
-    "determinant",
     "jacobi_radius",
 ]
 
@@ -152,11 +151,6 @@ def rho_nonnegative(a, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralResult:
 def inverse(a) -> np.ndarray:
     """Matrix inverse via LU with partial pivoting."""
     return _lu.inverse(as_matrix(a))
-
-
-def determinant(a) -> float:
-    """Determinant as the signed product of LU pivots; singular -> 0."""
-    return _lu.determinant(as_matrix(a))
 
 
 def tau_m_matrix(a, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralResult:

@@ -6,9 +6,12 @@ implemented.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbound import bounds as B
 from mbound.core import classify, fan_power, fan_product, hadamard
+from mbound.harness import FAMILIES
 from mbound.spectral import inverse, jacobi_radius, rho_nonnegative, tau_m_matrix
 from conftest import random_m_matrix, random_nonnegative
 
@@ -212,6 +215,77 @@ def test_hinv_ladder_validity_random():
                    B.tau_hinv_jacobi_oval(a, b, binv, rja, rjb),
                    B.tau_hinv_deficit_oval(a, b, binv, ta, tb, scaling)):
             assert br.value <= oracle + 1e-8, br.name
+
+
+# --- the oval scan: loop reference, ties and scale ---------------------------
+
+def _oval_loop(x, u, v, upper):
+    # the scan as a double loop over the unfactored radicand 4 u_i v_j
+    sign = 1.0 if upper else -1.0
+    best = None
+    for i in range(len(x)):
+        for j in range(len(x)):
+            if i != j:
+                root = 0.5 * (x[i] + x[j] + sign * np.sqrt(
+                    (x[i] - x[j]) ** 2 + 4.0 * u[i] * v[j]))
+                if best is None or sign * root > sign * best[0]:
+                    best = (root, (i, j))
+    return best
+
+
+def test_oval_matches_the_pair_loop():
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        x, u, v = rng.uniform(0.0, 2.0, (3, n))
+        for uv in ((u, v), (u, u)):
+            for upper in (True, False):
+                value, arg = B._oval(x, *uv, upper)
+                ref, ref_arg = _oval_loop(x, *uv, upper)
+                assert value == pytest.approx(ref, rel=0.0, abs=1e-14)
+                assert arg == ref_arg
+
+
+def test_oval_ties_keep_the_first_row_major_pair():
+    # A = B symmetric makes the ovals at (i, j) and (j, i) equal; the scan
+    # keeps the first of the two in row-major order
+    a = np.array([[1.0, 0.5, 0.5], [0.5, 2.0, 1.0], [0.5, 1.0, 3.0]])
+    r = rho_nonnegative(a).value
+    assert B.rho_bound_oval_deficit(a, a, r, r).components["argmax_pair"] == (0, 2)
+    assert B.rho_bound_oval_rowmax(a, a, r, r).components["argmax_pair"] == (1, 2)
+    m = np.array([[3.0, -0.5, -0.5], [-0.5, 2.0, -1.0], [-0.5, -1.0, 1.5]])
+    t = tau_m_matrix(m).value
+    assert B.tau_bound_oval_deficit(m, m, t, t).components["argmin_pair"] == (1, 2)
+    assert B.tau_bound_oval_rowmax(m, m, t, t).components["argmin_pair"] == (1, 2)
+    # every pair ties: the first pair overall
+    ones = np.ones((3, 3))
+    assert B.rho_bound_oval_deficit(ones, ones, 3.0, 3.0).components[
+        "argmax_pair"] == (0, 1)
+
+
+@pytest.mark.parametrize("family", ["hadamard", "fan", "hadamard-inverse"])
+@given(n=st.integers(1, 8), seed=st.integers(0, 10 ** 6),
+       s=st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e))
+@settings(max_examples=60, deadline=None)
+def test_ladder_scale_covariant(family, n, seed, s):
+    # (sA, sB) scales every hadamard and fan rung by s² and leaves every
+    # hinv rung as it is.  Dense pairs: where a deficit is zero in exact
+    # arithmetic, the square root of its rounding moves an oval rung by
+    # about 1e-8 of the diagonal products, at any scale.
+    rng = np.random.default_rng(seed)
+    gen = random_nonnegative if family == "hadamard" else random_m_matrix
+    a, b = gen(rng, n), gen(rng, n)
+    evaluate = FAMILIES[family].evaluate
+    _, base, _ = evaluate([a, b], "proof", None)
+    _, scaled, _ = evaluate([s * a, s * b], "proof", None)
+    if family == "hadamard-inverse":
+        k, ref = 1.0, np.max(np.diag(a) * np.diag(inverse(b)))
+    elif family == "fan":
+        k, ref = s * s, np.max(np.diag(a) * np.diag(b))
+    else:  # the ρ oracles are relative to rho(A)rho(B) >= every a_ii b_ii
+        k, ref = s * s, base[0].value
+    for x, y in zip(base, scaled):
+        assert abs(y.value / k - x.value) <= 1e-12 * ref, x.name
 
 
 # --- multi-factor fan bound -------------------------------------------------

@@ -169,6 +169,17 @@ def test_spectral_rho_class_gate(runner):
     assert res.exit_code == 3
 
 
+def test_spectral_tau_overflowing_inverse_exits_2(runner, tmp_path):
+    # a valid M-matrix whose inverse overflows float64
+    path = str(tmp_path / "tiny.txt")
+    write_matrix(np.eye(2) * 1e-320, path)
+    res = runner.invoke(main, ["spectral", "tau", path])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.output
+
+
 def test_spectral_tsv(runner):
     res = runner.invoke(main, ["spectral", "rho", fixture("ex21_b.txt"),
                                "--format", "tsv"])
@@ -207,6 +218,16 @@ def test_bounds_hinv_records_variants(runner):
     assert res.exit_code == 0
     assert "variant: proof" in res.output
     assert "statement=" in res.output
+
+
+def test_bounds_hinv_large_scale_pair_exits_0(runner, tmp_path):
+    # beta is 1e-200 here: a deficit-oval radicand formed as one product of
+    # six factors underflows to 0, and the rung is then a bare diagonal
+    # product, above the oracle
+    path = str(tmp_path / "big.txt")
+    write_matrix(np.array([[1e200, -1e199], [-1e199, 1e200]]), path)
+    res = runner.invoke(main, ["bounds", "hadamard-inverse", path, path])
+    assert res.exit_code == 0, res.output
 
 
 def test_bounds_wrong_file_count(runner):

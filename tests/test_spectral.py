@@ -1,7 +1,7 @@
 """Eigen-extremum computations cross-checked against numpy's QR solver.
 
-numpy.linalg appears here only as an independent reference; the package
-itself never calls it.
+numpy.linalg appears here only as an independent reference; no spectral
+routine of the package calls it.
 """
 import numpy as np
 import pytest
@@ -13,9 +13,8 @@ from mbound.core import cyclic_permutation, fan_product, hadamard
 from mbound.errors import (ClassMismatchError, ConvergenceError,
                            SingularMatrixError)
 from mbound.harness import GeneratorSpec, _sample_order, _trial_rng, gen_m_matrix
-from mbound.spectral import (DEFAULT_CONFIG, SpectralConfig, determinant,
-                             inverse, jacobi_radius, rho_nonnegative,
-                             tau_m_matrix)
+from mbound.spectral import (DEFAULT_CONFIG, SpectralConfig, inverse,
+                             jacobi_radius, rho_nonnegative, tau_m_matrix)
 from conftest import random_m_matrix, random_nonnegative
 
 
@@ -160,28 +159,14 @@ def test_inverse_matches_numpy(hinv_pair):
 
 def test_lu_factor_permutation():
     a = np.random.default_rng(11).normal(size=(6, 6))
-    lu, perm, sign, singular = _lu.lu_factor(a)
+    lu, perm = _lu.lu_factor(a)
     lower = np.tril(lu, -1) + np.eye(6)
     np.testing.assert_allclose(lower @ np.triu(lu), a[perm], atol=1e-12)
-    assert not singular
-    assert sign == np.linalg.det(np.eye(6)[perm])
 
 
 def test_inverse_singular():
     with pytest.raises(SingularMatrixError):
         inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
-
-
-@given(n=st.integers(min_value=1, max_value=6), seed=st.integers(0, 10 ** 6))
-@settings(max_examples=60, deadline=None)
-def test_determinant_matches_numpy(n, seed):
-    a = np.random.default_rng(seed).normal(size=(n, n))
-    ref = float(np.linalg.det(a))
-    assert determinant(a) == pytest.approx(ref, abs=1e-9 * max(1.0, abs(ref)))
-
-
-def test_determinant_singular_is_zero():
-    assert determinant(np.array([[1.0, 2.0], [2.0, 4.0]])) == 0.0
 
 
 def test_spectral_config_validation():
