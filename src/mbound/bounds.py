@@ -24,8 +24,18 @@ tau_multi_fan         Hölder-exponent bound for an m-fold Fan product
 
 Every oval rung is one pairwise form (``_oval``) whose radicand factors as
 4·u_i·v_j, with u and v one entry per index; the scan runs over ordered
-pairs i != j in row-major order, and ties keep the first pair.  u and v are
-clamped at zero per index (see ``_clamp_nonneg``).
+pairs i != j in row-major order, and ties keep the first pair.
+
+No formula loops over matrix indices.  Every off-diagonal sum or maximum
+reads one magnitude, |A| with a zero diagonal (``core._offdiag_abs``), and
+the row chain's sum over k != j, i is one rank-one identity:
+Σ_{k≠j,i} |a_jk| r_k = (|A|_off · r)_j − |a_ji| r_i.
+
+There is one clamp rule, ``_clamp_nonneg``: a quantity that is nonnegative
+in exact arithmetic (the oval factors u and v, the multi-Fan deficit
+brackets) is clamped at zero per index, and logged only when it is below
+rounding on the scale of its own terms, so the rule does not depend on the
+scale of the input.
 """
 from __future__ import annotations
 
@@ -36,7 +46,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import _pair, as_matrix, classify, scale_similarity
+from .core import _offdiag_abs, _pair, as_matrix, classify, scale_similarity
 
 __all__ = [
     "BoundResult",
@@ -72,10 +82,11 @@ CLAMP_WARN = 1e-10
 
 
 def _clamp_nonneg(w: np.ndarray, scale: float) -> np.ndarray:
-    """w with negative entries set to zero; an entry below −CLAMP_WARN·scale
-    is beyond rounding dust and is logged."""
+    """w, nonnegative in exact arithmetic, with negative entries set to
+    zero; an entry below −CLAMP_WARN·scale is beyond rounding dust and is
+    logged."""
     if w.min() < -CLAMP_WARN * scale:
-        log.warning("clamping negative radicand factor %.6e to zero", w.min())
+        log.warning("clamping negative deficit %.6e to zero", w.min())
     return np.maximum(w, 0.0)
 
 
@@ -119,12 +130,7 @@ class AuxChain:
 
 
 def _offdiag_rowmax(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    if n == 1:
-        return np.zeros(1)
-    m = np.abs(a).copy()
-    np.fill_diagonal(m, -np.inf)
-    return m.max(axis=1)
+    return _offdiag_abs(a).max(axis=1)
 
 
 def aux_offdiag_max(a, b) -> OffdiagMax:
@@ -133,37 +139,26 @@ def aux_offdiag_max(a, b) -> OffdiagMax:
 
 
 def aux_chain(a) -> AuxChain:
+    """The row chain of a; raises ValueError at the first row-major pair
+    (l, i) whose r denominator is nonpositive.  The sum over k != j, i in
+    s_pair is (|A|_off · r)_j − |a_ji| r_i, since |A|_off has a zero
+    diagonal."""
     a = as_matrix(a)
     n = a.shape[0]
-    ab = np.abs(a)
-    dg = np.diag(ab)
-    off = ab.copy()
-    np.fill_diagonal(off, 0.0)
-    rowsum = off.sum(axis=1)
-    r_pair = np.zeros((n, n))
-    for l in range(n):
-        for i in range(n):
-            if l == i:
-                continue
-            den = dg[l] - (rowsum[l] - off[l, i])
-            if den <= 0.0:
-                raise ValueError(f"denominator nonpositive at row {l}, column {i}")
-            r_pair[l, i] = off[l, i] / den
-    r = np.zeros(n)
-    s_pair = np.zeros((n, n))
-    s = np.zeros(n)
-    if n > 1:
-        for i in range(n):
-            r[i] = max(r_pair[l, i] for l in range(n) if l != i)
-        for j in range(n):
-            for i in range(n):
-                if j == i:
-                    continue
-                acc = sum(off[j, k] * r[k] for k in range(n) if k != j and k != i)
-                s_pair[j, i] = (off[j, i] + acc) / dg[j]
-        for i in range(n):
-            s[i] = max(s_pair[j, i] for j in range(n) if j != i)
-    return AuxChain(r_pair=r_pair, r=r, s_pair=s_pair, s=s)
+    off = _offdiag_abs(a)
+    dg = np.abs(np.diag(a))
+    den = dg[:, None] - (off.sum(axis=1)[:, None] - off)
+    np.fill_diagonal(den, 1.0)  # off is 0 there, so r_pair's diagonal is 0
+    bad = np.flatnonzero(den <= 0.0)
+    if bad.size:
+        l, i = divmod(int(bad[0]), n)
+        raise ValueError(f"denominator nonpositive at row {l}, column {i}")
+    r_pair = off / den
+    r = r_pair.max(axis=0)  # entries >= 0, so the zero diagonal never wins
+    acc = (off @ r)[:, None] - off * r
+    s_pair = np.divide(off + acc, dg[:, None], out=np.zeros((n, n)),
+                       where=~np.eye(n, dtype=bool))
+    return AuxChain(r_pair=r_pair, r=r, s_pair=s_pair, s=s_pair.max(axis=0))
 
 
 def inverse_column_caps(a, chain: Optional[AuxChain] = None) -> np.ndarray:
@@ -182,17 +177,10 @@ def inverse_column_caps(a, chain: Optional[AuxChain] = None) -> np.ndarray:
     if chain is None:
         chain = aux_chain(a)
     n = a.shape[0]
-    off = np.abs(a).copy()
-    np.fill_diagonal(off, 0.0)
-    rowsum = off.sum(axis=1)
-    dg = np.abs(np.diag(a))
-    caps = np.eye(n)
-    for j in range(n):
-        for i in range(n):
-            if j == i:
-                continue
-            caps[j, i] = (off[j, i] + chain.r[i] * (rowsum[j] - off[j, i])) / dg[j]
-    return caps
+    off = _offdiag_abs(a)
+    caps = off + chain.r * (off.sum(axis=1)[:, None] - off)
+    return np.divide(caps, np.abs(np.diag(a))[:, None], out=np.eye(n),
+                     where=~np.eye(n, dtype=bool))
 
 
 def _oval(x, u, v, upper: bool):
@@ -396,7 +384,7 @@ def tau_hinv_chain(a, b, scaling: DominanceScaling) -> BoundResult:
     a, b = _pair(a, b)
     s_row = scaling.chain.s_pair.max(axis=1)  # diag is 0, entries >= 0
     da, db = np.diag(a), np.diag(b)
-    colsum = np.abs(a).sum(axis=0) - np.abs(da)
+    colsum = _offdiag_abs(a).sum(axis=0)
     vals = (da - s_row * colsum) / db
     i = int(np.argmin(vals))
     return BoundResult(
@@ -490,8 +478,12 @@ def tau_multi_fan(matrices: Sequence, exponents: HolderExponents,
                   taus_of_fan_powers: Sequence[float]) -> BoundResult:
     """min_i { Π_k A_k[i,i] − Π_k (A_k[i,i]^P_k − tau(A_k^(P_k)))^(1/P_k) }.
 
-    Each bracket is a Perron deficit and must be nonnegative; tiny negative
-    rounding dust is clamped, anything beyond relative 1e-8 raises.
+    Each bracket is a Perron deficit and must be nonnegative.  A bracket
+    below −1e-8·A_k[i,i]^P_k raises: the tau values are the caller's.
+    Anything less negative is rounding and is clamped by ``_clamp_nonneg``
+    on the scale of the factor's A_k[i,i]^P_k.  The powers are numpy's, as
+    in ``core.fan_power``, so a bracket that is zero in exact arithmetic
+    comes out as 0.
     """
     mats = [as_matrix(m) for m in matrices]
     if len(mats) != len(exponents.p) or len(mats) != len(taus_of_fan_powers):
@@ -499,22 +491,18 @@ def tau_multi_fan(matrices: Sequence, exponents: HolderExponents,
     n = mats[0].shape[0]
     if any(m.shape[0] != n for m in mats):
         raise ValueError("order mismatch")
-    vals = np.empty(n)
-    for i in range(n):
-        prod_diag = 1.0
-        prod_deficit = 1.0
-        for m, p, tau_pow in zip(mats, exponents.p, taus_of_fan_powers):
-            dii = float(m[i, i])
-            prod_diag *= dii
-            bracket = dii ** p - tau_pow
-            if bracket < 0.0:
-                if bracket < -1e-8 * max(1.0, abs(dii) ** p):
-                    raise ValueError("negative Perron deficit bracket")
-                if bracket < -CLAMP_WARN:
-                    log.warning("clamping negative deficit %.6e to zero", bracket)
-                bracket = 0.0
-            prod_deficit *= bracket ** (1.0 / p)
-        vals[i] = prod_diag - prod_deficit
+    prod_diag = prod_deficit = 1.0
+    for m, p, tau_pow in zip(mats, exponents.p, taus_of_fan_powers):
+        dg = np.diag(m)
+        power = dg ** p
+        bracket = power - tau_pow
+        mag = np.abs(power)
+        if (bracket < -1e-8 * mag).any():
+            raise ValueError("negative Perron deficit bracket")
+        prod_diag = prod_diag * dg
+        prod_deficit = prod_deficit * _clamp_nonneg(
+            bracket, mag.max()) ** (1.0 / p)
+    vals = prod_diag - prod_deficit
     i = int(np.argmin(vals))
     return BoundResult(
         "tau_multi_fan", "lower", float(vals[i]),
@@ -527,20 +515,15 @@ def cassini_contains(a, z: complex) -> bool:
     """True iff z lies in some oval |z−a_ii||z−a_jj| <= c_i c_j (i != j),
     where c_i are the absolute COLUMN sums without the diagonal."""
     a = as_matrix(a)
-    n = a.shape[0]
-    if n < 2:
+    if a.shape[0] < 2:
         raise ValueError("Cassini requires n >= 2")
-    col = np.abs(a).sum(axis=0) - np.abs(np.diag(a))
-    d = np.diag(a)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            lhs = abs(z - d[i]) * abs(z - d[j])
-            rhs = col[i] * col[j]
-            # eigenvalues of 2x2 matrices sit exactly ON the oval boundary,
-            # so a computed root needs float-level slack to stay a member
-            slack = 1e-12 * max(1.0, abs(z) ** 2, rhs)
-            if lhs <= rhs + slack:
-                return True
-    return False
+    col = _offdiag_abs(a).sum(axis=0)
+    dist = np.abs(z - np.diag(a))
+    lhs = dist[:, None] * dist
+    rhs = col[:, None] * col
+    # eigenvalues of 2x2 matrices sit exactly ON the oval boundary, so a
+    # computed root needs float-level slack to stay a member
+    slack = 1e-12 * np.maximum(max(1.0, abs(z) ** 2), rhs)
+    inside = lhs <= rhs + slack
+    np.fill_diagonal(inside, False)
+    return bool(inside.any())

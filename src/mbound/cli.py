@@ -289,7 +289,8 @@ def _bound_rows(oracle: float, ladder, lower: bool):
 @click.option("--p", "p_spec", default=None,
               help="Comma-separated Hölder exponents for multi-fan "
                    "(default: all ones).")
-@click.option("--tol", type=float, default=1e-8, show_default=True,
+@click.option("--tol", type=float, default=harness.VIOLATION_TOL,
+              show_default=True,
               help="Direction-violation tolerance for the exit-4 check.")
 @format_option
 def cmd_bounds(family, files, variant, p_spec, tol, fmt):
@@ -406,9 +407,8 @@ def cmd_verify(family, trials, seed, order, order_min, order_max, density,
     max_slack = 0.0
     n_viol = 0
     for rep in reports:
-        for br in rep.bounds:
-            slack = (rep.oracle - br.value) if fam.lower else (br.value - rep.oracle)
-            max_slack = max(max_slack, slack)
+        for row in _bound_rows(rep.oracle, rep.bounds, fam.lower):
+            max_slack = max(max_slack, row["slack"])
         n_viol += len(rep.violations)
         rows.append({
             "trial": rep.trial,

@@ -91,6 +91,14 @@ def fan_power(a, p: int) -> np.ndarray:
     return out
 
 
+def _offdiag_abs(a: np.ndarray) -> np.ndarray:
+    """|a| with a zero diagonal: the off-diagonal magnitudes that row sums,
+    row maxima and dominance tests read."""
+    off = np.abs(a)
+    np.fill_diagonal(off, 0.0)
+    return off
+
+
 def _scc_blocks(a: np.ndarray):
     """Strongly connected components of the off-diagonal nonzero digraph
     (exact zero threshold), as sorted index lists ordered by first index.
@@ -129,13 +137,11 @@ def classify(a) -> MatrixClassification:
     """
     a = as_matrix(a)
     n = a.shape[0]
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
     nonnegative = bool(np.all(a >= 0.0))
-    z_matrix = bool(np.all(off <= 0.0))
+    z_matrix = bool(np.all((a <= 0.0) | np.eye(n, dtype=bool)))
     m_matrix = z_matrix and _lu.m_factor(a) is not None
-    diag = np.abs(np.diag(a))
-    strictly_dd = bool(np.all(diag > np.abs(off).sum(axis=1)))
+    strictly_dd = bool(np.all(np.abs(np.diag(a))
+                              > _offdiag_abs(a).sum(axis=1)))
     return MatrixClassification(
         nonnegative=nonnegative,
         z_matrix=z_matrix,

@@ -164,7 +164,11 @@ def tau_m_matrix(a, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralResult:
     lu = _lu.m_factor(as_matrix(a))
     if lu is None:
         raise ClassMismatchError("not a nonsingular M-matrix")
-    r = rho_nonnegative(_lu.m_inverse(lu), cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = _lu.m_inverse(lu)
+    if not np.all(np.isfinite(inv)):
+        raise ValueError("the inverse of this M-matrix overflows float64")
+    r = rho_nonnegative(inv, cfg)
     return SpectralResult(1.0 / r.value, r.eigenvector, r.iterations, r.residual)
 
 

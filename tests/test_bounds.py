@@ -120,8 +120,56 @@ def test_aux_chain_worked(hinv_pair):
 def test_aux_chain_rejects_weak_rows():
     # row 0 minus any single off-diagonal entry still beats the diagonal
     bad = np.array([[1.0, -2.0, -2.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(ValueError, match="denominator nonpositive"):
+    with pytest.raises(ValueError,
+                       match="denominator nonpositive at row 0, column 1"):
         B.aux_chain(bad)
+
+
+def _chain_loop(a):
+    """Row chain and inverse caps by the defining per-entry sums."""
+    n = a.shape[0]
+    dg = np.abs(np.diag(a))
+    off = np.abs(a)
+    np.fill_diagonal(off, 0.0)
+    rowsum = off.sum(axis=1)
+    r_pair = np.zeros((n, n))
+    for l in range(n):
+        for i in range(n):
+            if l != i:
+                r_pair[l, i] = off[l, i] / (dg[l] - (rowsum[l] - off[l, i]))
+    r = np.zeros(n)
+    s_pair = np.zeros((n, n))
+    s = np.zeros(n)
+    caps = np.eye(n)
+    if n > 1:
+        for i in range(n):
+            r[i] = max(r_pair[l, i] for l in range(n) if l != i)
+        for j in range(n):
+            for i in range(n):
+                if j != i:
+                    acc = sum(off[j, k] * r[k] for k in range(n)
+                              if k != j and k != i)
+                    s_pair[j, i] = (off[j, i] + acc) / dg[j]
+                    caps[j, i] = (off[j, i] + r[i] * (rowsum[j] - off[j, i])) / dg[j]
+        for i in range(n):
+            s[i] = max(s_pair[j, i] for j in range(n) if j != i)
+    return r_pair, r, s_pair, s, caps
+
+
+def test_aux_chain_matches_the_loop():
+    rng = np.random.default_rng(71)
+    for k in range(200):
+        n = int(rng.integers(1, 13))
+        p = random_nonnegative(rng, n, density=(1.0, 0.3)[k % 2])
+        np.fill_diagonal(p, 0.0)  # strictly row dominant below
+        b = np.diag(p.sum(axis=1) + rng.uniform(0.05, 1.0, n)) - p
+        chain = B.aux_chain(b)
+        r_pair, r, s_pair, s, caps = _chain_loop(b)
+        assert np.array_equal(chain.r_pair, r_pair)
+        assert np.array_equal(chain.r, r)
+        assert np.array_equal(B.inverse_column_caps(b, chain), caps)
+        np.testing.assert_allclose(chain.s_pair, s_pair, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(chain.s, s, rtol=1e-14, atol=0.0)
 
 
 def test_inverse_column_caps_hold(hinv_pair):
@@ -263,29 +311,40 @@ def test_oval_ties_keep_the_first_row_major_pair():
         "argmax_pair"] == (0, 1)
 
 
-@pytest.mark.parametrize("family", ["hadamard", "fan", "hadamard-inverse"])
+@pytest.mark.parametrize("family", ["hadamard", "fan", "hadamard-inverse",
+                                    "multi-fan"])
 @given(n=st.integers(1, 8), seed=st.integers(0, 10 ** 6),
        s=st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e))
 @settings(max_examples=60, deadline=None)
 def test_ladder_scale_covariant(family, n, seed, s):
-    # (sA, sB) scales every hadamard and fan rung by s² and leaves every
-    # hinv rung as it is.  Dense pairs: where a deficit is zero in exact
-    # arithmetic, the square root of its rounding moves an oval rung by
-    # about 1e-8 of the diagonal products, at any scale.
+    # (sA, sB) scales every hadamard, fan and multi-fan (P = (2,2)) rung by
+    # s² and leaves every hinv rung as it is.  Dense pairs: where a deficit
+    # is zero in exact arithmetic, the square root of its rounding moves an
+    # oval rung by about 1e-8 of the diagonal products, at any scale.
     rng = np.random.default_rng(seed)
     gen = random_nonnegative if family == "hadamard" else random_m_matrix
     a, b = gen(rng, n), gen(rng, n)
     evaluate = FAMILIES[family].evaluate
-    _, base, _ = evaluate([a, b], "proof", None)
-    _, scaled, _ = evaluate([s * a, s * b], "proof", None)
+    p22 = B.HolderExponents((2, 2)) if family == "multi-fan" else None
+    _, base, _ = evaluate([a, b], "proof", p22)
+    _, scaled, _ = evaluate([s * a, s * b], "proof", p22)
+    band = 0.0
     if family == "hadamard-inverse":
         k, ref = 1.0, np.max(np.diag(a) * np.diag(inverse(b)))
-    elif family == "fan":
+    elif family in ("fan", "multi-fan"):
         k, ref = s * s, np.max(np.diag(a) * np.diag(b))
     else:  # the ρ oracles are relative to rho(A)rho(B) >= every a_ii b_ii
         k, ref = s * s, base[0].value
+    if family == "multi-fan":
+        # the rung takes the square root of a_ii² − τ(A^(2)), which divides
+        # its τ oracles' relative 1e-12 by the root of that deficit; allow
+        # the rung's spread over that band (it increases with each τ)
+        taus = base[0].components["taus_of_fan_powers"]
+        hi, lo = (B.tau_multi_fan([a, b], p22, [t * (1.0 + e) for t in taus])
+                  for e in (1e-12, -1e-12))
+        band = hi.value - lo.value
     for x, y in zip(base, scaled):
-        assert abs(y.value / k - x.value) <= 1e-12 * ref, x.name
+        assert abs(y.value / k - x.value) <= 1e-12 * ref + band, x.name
 
 
 # --- multi-factor fan bound -------------------------------------------------
@@ -335,6 +394,22 @@ def test_multi_fan_equals_affine_at_ones(fan_pair):
     br = B.tau_multi_fan([a, b], p, taus)
     affine = B.tau_bound_affine(a, b, TAU_FAN_A, TAU_FAN_B)
     assert br.value == pytest.approx(affine.value, abs=1e-12)
+
+
+def test_multi_fan_clamp_is_scale_free(fan_pair, caplog):
+    # a tau above every diagonal entry is rejected at any scale
+    a, b = fan_pair
+    p11 = B.HolderExponents((1, 1))
+    for s in (1.0, 1e-10):
+        taus = [2.0 * s * np.max(np.diag(a)), s * TAU_FAN_B]
+        with pytest.raises(ValueError, match="negative Perron deficit"):
+            B.tau_multi_fan([s * a, s * b], p11, taus)
+    # triangular factors: tau(A) is a_11 up to rounding, which is no clamp
+    a = np.array([[2.3e101, -1e100], [0.0, 1e103]])
+    b = np.array([[7e100, 0.0], [-1e100, 9e100]])
+    with caplog.at_level("WARNING", logger="mbound.bounds"):
+        FAMILIES["multi-fan"].evaluate([a, b], "proof", p11)
+    assert not caplog.records
 
 
 def test_multi_fan_argument_mismatch(fan_pair):

@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import warnings
 import weakref
 
 import numpy as np
@@ -173,10 +174,13 @@ def test_spectral_tau_overflowing_inverse_exits_2(runner, tmp_path):
     # a valid M-matrix whose inverse overflows float64
     path = str(tmp_path / "tiny.txt")
     write_matrix(np.eye(2) * 1e-320, path)
-    res = runner.invoke(main, ["spectral", "tau", path])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = runner.invoke(main, ["spectral", "tau", path])
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
-    assert "error:" in res.stderr
+    assert "error: the inverse of this M-matrix overflows" in res.stderr
+    assert "RuntimeWarning" not in res.stderr
     assert "Traceback" not in res.output
 
 
