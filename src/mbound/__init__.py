@@ -11,11 +11,11 @@ from .core import (MatrixClassification, as_matrix, classify,
                    perturb_cyclic, scale_similarity)
 from .errors import (ClassMismatchError, ConvergenceError, MatrixFormatError,
                      MboundError, SingularMatrixError)
-from .spectral import (SpectralConfig, SpectralResult, inverse, jacobi_radius,
+from .spectral import (SpectralResult, inverse, jacobi_radius,
                        rho_nonnegative, tau_m_matrix)
 from .bounds import (AuxChain, BoundResult, DominanceScaling, HolderExponents,
-                     OffdiagMax, aux_chain, aux_offdiag_max, cassini_contains,
-                     dominance_scaling, inverse_column_caps, rho_bound_affine,
+                     aux_chain, cassini_contains, dominance_scaling,
+                     inverse_column_caps, rho_bound_affine,
                      rho_bound_oval_deficit, rho_bound_oval_rowmax,
                      rho_bound_product, tau_bound_affine,
                      tau_bound_oval_deficit, tau_bound_oval_rowmax,
@@ -39,12 +39,11 @@ __all__ = [
     "MboundError", "MatrixFormatError", "ClassMismatchError",
     "SingularMatrixError", "ConvergenceError",
     # spectral
-    "SpectralConfig", "SpectralResult", "rho_nonnegative", "tau_m_matrix",
+    "SpectralResult", "rho_nonnegative", "tau_m_matrix",
     "jacobi_radius", "inverse",
     # bounds
-    "BoundResult", "OffdiagMax", "AuxChain", "DominanceScaling",
-    "HolderExponents", "aux_offdiag_max", "aux_chain", "dominance_scaling",
-    "inverse_column_caps",
+    "BoundResult", "AuxChain", "DominanceScaling", "HolderExponents",
+    "aux_chain", "dominance_scaling", "inverse_column_caps",
     "rho_bound_product", "rho_bound_affine", "rho_bound_oval_deficit",
     "rho_bound_oval_rowmax", "tau_bound_product", "tau_bound_affine",
     "tau_bound_oval_deficit", "tau_bound_oval_rowmax",

@@ -50,11 +50,9 @@ from .core import _offdiag_abs, _pair, as_matrix, classify, scale_similarity
 
 __all__ = [
     "BoundResult",
-    "OffdiagMax",
     "AuxChain",
     "DominanceScaling",
     "HolderExponents",
-    "aux_offdiag_max",
     "aux_chain",
     "dominance_scaling",
     "inverse_column_caps",
@@ -102,15 +100,6 @@ class BoundResult:
 
 
 @dataclass(frozen=True)
-class OffdiagMax:
-    """Per-row maxima of absolute off-diagonal entries: s from the first
-    matrix, t from the second.  n = 1 gives zeros."""
-
-    s: np.ndarray
-    t: np.ndarray
-
-
-@dataclass(frozen=True)
 class AuxChain:
     """Row-chain quantities of one matrix.
 
@@ -130,12 +119,8 @@ class AuxChain:
 
 
 def _offdiag_rowmax(a: np.ndarray) -> np.ndarray:
+    """Per-row maxima of the off-diagonal magnitudes; n = 1 gives zero."""
     return _offdiag_abs(a).max(axis=1)
-
-
-def aux_offdiag_max(a, b) -> OffdiagMax:
-    a, b = _pair(a, b)
-    return OffdiagMax(s=_offdiag_rowmax(a), t=_offdiag_rowmax(b))
 
 
 def aux_chain(a) -> AuxChain:
@@ -246,15 +231,15 @@ def rho_bound_oval_rowmax(a, b, rho_a: float, rho_b: float) -> BoundResult:
     """Pairwise oval form with off-diagonal row maxima in the radicand:
     4 t_i s_j (rho(A)−a_ii)(rho(B)−b_jj), s rows of A, t rows of B."""
     a, b = _pair(a, b)
-    aux = aux_offdiag_max(a, b)
+    s, t = _offdiag_rowmax(a), _offdiag_rowmax(b)
     da, db = np.diag(a), np.diag(b)
-    value, arg = _oval(da * db, aux.t * (rho_a - da), aux.s * (rho_b - db),
+    value, arg = _oval(da * db, t * (rho_a - da), s * (rho_b - db),
                        upper=True)
     return BoundResult(
         "rho_oval_rowmax", "upper", value,
         {
             "rho_a": rho_a, "rho_b": rho_b, "argmax_pair": arg,
-            "s": tuple(map(float, aux.s)), "t": tuple(map(float, aux.t)),
+            "s": tuple(map(float, s)), "t": tuple(map(float, t)),
         },
     )
 
@@ -300,15 +285,15 @@ def tau_bound_oval_deficit(a, b, tau_a: float, tau_b: float) -> BoundResult:
 def tau_bound_oval_rowmax(a, b, tau_a: float, tau_b: float) -> BoundResult:
     """Pairwise oval with 4 t_i s_j (a_ii−tau(A))(b_jj−tau(B)) radicand."""
     a, b = _pair(a, b)
-    aux = aux_offdiag_max(a, b)
+    s, t = _offdiag_rowmax(a), _offdiag_rowmax(b)
     da, db = np.diag(a), np.diag(b)
-    value, arg = _oval(da * db, aux.t * (da - tau_a), aux.s * (db - tau_b),
+    value, arg = _oval(da * db, t * (da - tau_a), s * (db - tau_b),
                        upper=False)
     return BoundResult(
         "tau_oval_rowmax", "lower", value,
         {
             "tau_a": tau_a, "tau_b": tau_b, "argmin_pair": arg,
-            "s": tuple(map(float, aux.s)), "t": tuple(map(float, aux.t)),
+            "s": tuple(map(float, s)), "t": tuple(map(float, t)),
         },
     )
 

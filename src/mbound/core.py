@@ -58,10 +58,19 @@ def _pair(a, b):
     return a, b
 
 
+def _finite(out: np.ndarray, what: str) -> np.ndarray:
+    """out, or a ValueError naming ``what`` when out left float64 range."""
+    if not np.isfinite(out).all():
+        raise ValueError(f"the {what} overflows float64")
+    return out
+
+
 def hadamard(a, b) -> np.ndarray:
     """Entrywise product a_ij * b_ij."""
     a, b = _pair(a, b)
-    return a * b
+    with np.errstate(over="ignore"):
+        out = a * b
+    return _finite(out, "Hadamard product")
 
 
 def fan_product(a, b) -> np.ndarray:
@@ -71,9 +80,10 @@ def fan_product(a, b) -> np.ndarray:
     then keeps that sign pattern); not enforced here.
     """
     a, b = _pair(a, b)
-    out = -(a * b)
-    np.fill_diagonal(out, np.diag(a) * np.diag(b))
-    return out
+    with np.errstate(over="ignore"):
+        out = -(a * b)
+        np.fill_diagonal(out, np.diag(a) * np.diag(b))
+    return _finite(out, "Fan product")
 
 
 def fan_power(a, p: int) -> np.ndarray:
@@ -86,9 +96,10 @@ def fan_power(a, p: int) -> np.ndarray:
         raise ValueError("exponent must be a positive integer")
     if p == 1:
         return a.copy()
-    out = -np.abs(a) ** p
-    np.fill_diagonal(out, np.diag(a) ** p)
-    return out
+    with np.errstate(over="ignore"):
+        out = -np.abs(a) ** p
+        np.fill_diagonal(out, np.diag(a) ** p)
+    return _finite(out, f"Fan power of order {p}")
 
 
 def _offdiag_abs(a: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Generates seeded random instances, computes the eigen-extremum oracle for
 each product, evaluates the full bound ladder, and reports violations.
-Each product family is defined once, in ``FAMILIES``: the CLI's ``bounds``
-evaluates one pair with it and ``run_suite`` runs the seeded trials.
+Each product family is defined once, in ``FAMILIES``, with the one rule
+that judges its rungs: the CLI's ``bounds`` and ``run_suite`` both use it.
 Trials are independent: each one derives its own RNG from (seed, trial
 index), so results do not depend on execution order and suites may fan out.
 
@@ -15,6 +15,7 @@ reduction identities).  Passing trials carry an empty tuple.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,7 +24,8 @@ import numpy as np
 from . import _lu, bounds
 from .core import fan_power, fan_product, hadamard, scale_similarity
 from .errors import ClassMismatchError
-from .spectral import inverse, jacobi_radius, rho_nonnegative, tau_m_matrix
+from .spectral import (_m_inverse, inverse, jacobi_radius, rho_nonnegative,
+                       tau_m_matrix)
 
 __all__ = [
     "GeneratorSpec",
@@ -76,6 +78,8 @@ class GeneratorSpec:
             raise ValueError("density must be in (0, 1]")
         if not self.diagonal_margin > 0.0:
             raise ValueError("diagonal_margin must be positive")
+        if not math.isfinite(self.diagonal_margin):
+            raise ValueError("diagonal_margin must be finite")
 
 
 @dataclass(frozen=True)
@@ -138,8 +142,9 @@ def gen_m_matrix(spec: GeneratorSpec, rng: Optional[np.random.Generator] = None,
 
 def lemma_product_m_matrix(a, b) -> bool:
     """Closure check: the entrywise product of b with a's inverse is again
-    a nonsingular M-matrix."""
-    return _lu.m_factor(hadamard(b, inverse(a))) is not None
+    a nonsingular M-matrix.  a⁻¹ comes from the M-matrix gate, whose exact
+    zeros keep b's Z-pattern; an a that fails the gate raises."""
+    return _lu.m_factor(hadamard(b, _m_inverse(a))) is not None
 
 
 # ----------------------------------------------------------------------
@@ -227,12 +232,10 @@ GOLDEN_TOL_DIRECT = 5e-4
 GOLDEN_TOL_CHAIN = 5e-3
 
 
-def _golden_checks(family: str, oracle: float, ladder,
-                   tol_chain: float = GOLDEN_TOL_CHAIN,
-                   tol_direct: float = GOLDEN_TOL_DIRECT):
+def _golden_checks(family: str, oracle: float, ladder):
     """(name, passed) golden comparisons for an injected trial 0."""
     table = GOLDEN[family]
-    tols = {"direct": tol_direct, "chain": tol_chain}
+    tols = {"direct": GOLDEN_TOL_DIRECT, "chain": GOLDEN_TOL_CHAIN}
     out = []
     exp, kind = table["oracle"]
     out.append((f"golden:oracle={exp}", abs(oracle - exp) <= tols[kind]))
@@ -245,14 +248,6 @@ def _golden_checks(family: str, oracle: float, ladder,
         exp, kind = table[key]
         out.append((f"golden:{key}={exp}", abs(br.value - exp) <= tols[kind]))
     return out
-
-
-def _flag_lower(oracle: float, ladder, tol=VIOLATION_TOL):
-    return tuple(br.name for br in ladder if br.value > oracle + tol)
-
-
-def _flag_upper(oracle: float, ladder, tol=VIOLATION_TOL):
-    return tuple(br.name for br in ladder if br.value < oracle - tol)
 
 
 def _chain_le(x: float, y: float) -> bool:
@@ -295,6 +290,18 @@ class Family:
     lower: bool  # the ladder bounds the oracle from below
     evaluate: Callable
     checks: Callable
+
+    def slack(self, oracle: float, rung) -> float:
+        """oracle − value for lower ladders, value − oracle for upper ones."""
+        return oracle - rung.value if self.lower else rung.value - oracle
+
+    @staticmethod
+    def violates(slack: float, tol: float) -> bool:
+        """The one verdict rule: a slack below −tol is a violation.  A
+        non-finite tol would switch the test off, so it is rejected."""
+        if not math.isfinite(tol):
+            raise ValueError("tol must be finite")
+        return slack < -tol
 
 
 def _rowmax_aux(rung):
@@ -470,19 +477,16 @@ def run_suite(family: Family, trials: int, spec: GeneratorSpec,
               with_examples: bool = False,
               variant: str = "proof",
               exponents: Optional[bounds.HolderExponents] = None,
-              tol: float = VIOLATION_TOL,
-              golden_tol_chain: float = GOLDEN_TOL_CHAIN,
-              golden_tol_direct: float = GOLDEN_TOL_DIRECT):
-    """Seeded trials of one family: every rung is flagged when it lands on
-    the wrong side of the oracle by more than tol, and every failed
-    structural check is flagged by name.  Products take m = len(exponents)
-    factors, or a pair when exponents is None; with_examples makes trial 0
-    the worked factors, checked against GOLDEN when m = 2."""
+              tol: float = VIOLATION_TOL):
+    """Seeded trials of one family: every rung that ``Family.violates`` at
+    tol is flagged, and every failed structural check is flagged by name.
+    Products take m = len(exponents) factors, or a pair when exponents is
+    None; with_examples makes trial 0 the worked factors, checked against
+    GOLDEN when m = 2."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     m = 2 if exponents is None else len(exponents.p)
     omin, omax = _spec_pair(spec, order_min, order_max)
-    flag = _flag_lower if family.lower else _flag_upper
     gen = gen_nonnegative if family.kind == "nonnegative" else gen_m_matrix
     reports = []
     for t in range(trials):
@@ -496,10 +500,10 @@ def run_suite(family: Family, trials: int, spec: GeneratorSpec,
         oracle, ladder, ctx = family.evaluate(mats, variant, exponents)
         checks, hyp, dom = family.checks(mats, oracle, ladder, ctx)
         if with_examples and t == 0 and m == 2:
-            checks.extend(_golden_checks(family.golden, oracle, ladder,
-                                         golden_tol_chain, golden_tol_direct))
-        violations = flag(oracle, ladder, tol) + tuple(
-            name for name, ok in checks if not ok)
+            checks.extend(_golden_checks(family.golden, oracle, ladder))
+        violations = tuple(br.name for br in ladder
+                           if family.violates(family.slack(oracle, br), tol))
+        violations += tuple(name for name, ok in checks if not ok)
         reports.append(TrialReport(
             trial=t, order=mats[0].shape[0],
             digests=tuple(_digest(mk) for mk in mats),

@@ -13,11 +13,10 @@ from typing import Optional
 import numpy as np
 
 from . import _lu
-from .core import _scc_blocks, as_matrix
+from .core import _finite, _scc_blocks, as_matrix
 from .errors import ClassMismatchError, ConvergenceError
 
 __all__ = [
-    "SpectralConfig",
     "SpectralResult",
     "rho_nonnegative",
     "tau_m_matrix",
@@ -26,19 +25,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpectralConfig:
-    rel_tol: float = 1e-12
-    max_iter: int = 100000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-
-DEFAULT_CONFIG = SpectralConfig()
+REL_TOL = 1e-12
+MAX_ITER = 100000
 
 
 @dataclass(frozen=True)
@@ -58,7 +46,7 @@ class SpectralResult:
 _SQUARINGS = 6  # power-iterate m^(2^6): same bracket, 64x the convergence rate
 
 
-def _power_perron(a: np.ndarray, cfg: SpectralConfig, below: float = -math.inf):
+def _power_perron(a: np.ndarray, below: float = -math.inf):
     """Power iteration on the primitive shift a + cI, c = max entry of a.
 
     The shift scales with a, so the iteration count and the relative
@@ -70,7 +58,7 @@ def _power_perron(a: np.ndarray, cfg: SpectralConfig, below: float = -math.inf):
     overflow); its Perron vector is unchanged and the Collatz–Wielandt
     ratios still bracket the root, which the original root is recovered
     from by a 2^k-th root.  Convergence needs both the bracket width and
-    the step change below rel_tol relative to the returned value, and the
+    the step change below REL_TOL relative to the returned value, and the
     reported residual is the final bracket width on that scale.  The
     iteration also stops once the upper bracket, mapped back to a's root,
     is strictly below ``below``: a's root then cannot be the larger one.
@@ -91,12 +79,12 @@ def _power_perron(a: np.ndarray, cfg: SpectralConfig, below: float = -math.inf):
     def root(h):  # the root of a that the ratio h of m_pow stands for
         return math.exp(log_scale + math.log(h) / scale2) - c
 
-    width_tol = cfg.rel_tol * scale2
+    width_tol = REL_TOL * scale2
     v = np.ones(n)
     lam_prev = np.inf
     hi = 1.0
     width = np.inf
-    for k in range(1, cfg.max_iter + 1):
+    for k in range(1, MAX_ITER + 1):
         w = m_pow @ v
         ratios = w / v  # v stays > 0: positive diagonal
         hi = float(ratios.max())
@@ -108,12 +96,12 @@ def _power_perron(a: np.ndarray, cfg: SpectralConfig, below: float = -math.inf):
         lam_prev = hi
         v = w / float(w.max())
     raise ConvergenceError(
-        f"power iteration did not converge in {cfg.max_iter} iterations",
+        f"power iteration did not converge in {MAX_ITER} iterations",
         best_estimate=root(hi),
     )
 
 
-def rho_nonnegative(a, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralResult:
+def rho_nonnegative(a) -> SpectralResult:
     """Perron root of a nonnegative matrix.
 
     Irreducible inputs get the positive eigenvector as well; reducible ones
@@ -132,7 +120,7 @@ def rho_nonnegative(a, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralResult:
         return SpectralResult(val, vec, 0, 0.0)
     blocks = _scc_blocks(a)
     if len(blocks) == 1:
-        rho, vec, iters, width = _power_perron(a, cfg)
+        rho, vec, iters, width = _power_perron(a)
         return SpectralResult(rho, vec, iters, width)
     best = 0.0
     iters = 0
@@ -141,7 +129,7 @@ def rho_nonnegative(a, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralResult:
         if len(idx) == 1:
             best = max(best, float(a[idx[0], idx[0]]))
             continue
-        r, _, k, w = _power_perron(a[np.ix_(idx, idx)], cfg, best)
+        r, _, k, w = _power_perron(a[np.ix_(idx, idx)], best)
         iters += k
         if r > best:
             best, width = r, w
@@ -153,26 +141,25 @@ def inverse(a) -> np.ndarray:
     return _lu.inverse(as_matrix(a))
 
 
-def tau_m_matrix(a, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralResult:
-    """Minimum eigenvalue of a nonsingular M-matrix, as 1/rho(a^-1).
-
-    One unpivoted elimination is both the class gate and the factorization
-    the inverse is formed from; that inverse is entrywise nonnegative by
-    construction, so the Perron machinery applies and its eigenvector
-    doubles as the eigenvector here.
-    """
+def _m_inverse(a) -> np.ndarray:
+    """a⁻¹ from the unpivoted elimination that is also the M-matrix gate:
+    entrywise >= 0, exactly 0 wherever the digraph of a has no path."""
     lu = _lu.m_factor(as_matrix(a))
     if lu is None:
         raise ClassMismatchError("not a nonsingular M-matrix")
     with np.errstate(over="ignore", invalid="ignore"):
         inv = _lu.m_inverse(lu)
-    if not np.all(np.isfinite(inv)):
-        raise ValueError("the inverse of this M-matrix overflows float64")
-    r = rho_nonnegative(inv, cfg)
+    return _finite(inv, "inverse of this M-matrix")
+
+
+def tau_m_matrix(a) -> SpectralResult:
+    """Minimum eigenvalue of a nonsingular M-matrix, as 1/rho(a^-1); a^-1 is
+    entrywise >= 0, so its Perron vector is the eigenvector here."""
+    r = rho_nonnegative(_m_inverse(a))
     return SpectralResult(1.0 / r.value, r.eigenvector, r.iterations, r.residual)
 
 
-def jacobi_radius(a, cfg: SpectralConfig = DEFAULT_CONFIG) -> float:
+def jacobi_radius(a) -> float:
     """Spectral radius of I - D^-1 A (D = diagonal part).
 
     Needs nonzero diagonal; for matrices with nonpositive off-diagonal and
@@ -184,4 +171,4 @@ def jacobi_radius(a, cfg: SpectralConfig = DEFAULT_CONFIG) -> float:
         raise ValueError("zero diagonal entry")
     j = -a / d[:, None]
     np.fill_diagonal(j, 0.0)
-    return rho_nonnegative(j, cfg).value
+    return rho_nonnegative(j).value

@@ -94,14 +94,15 @@ def test_tau_ladder_validity_random():
 
 def test_offdiag_max_values(hadamard_pair):
     a, _ = hadamard_pair
-    aux = B.aux_offdiag_max(a, a)
-    np.testing.assert_allclose(aux.s, [2.0, 1.0, 1.0, 1.0])
-    np.testing.assert_allclose(aux.s, aux.t)
+    rung = B.rho_bound_oval_rowmax(a, a, 1.0, 1.0).components
+    np.testing.assert_allclose(rung["s"], [2.0, 1.0, 1.0, 1.0])
+    np.testing.assert_allclose(rung["s"], rung["t"])
 
 
 def test_offdiag_max_order_one():
-    aux = B.aux_offdiag_max(np.array([[5.0]]), np.array([[2.0]]))
-    assert aux.s[0] == 0.0 and aux.t[0] == 0.0
+    rung = B.tau_bound_oval_rowmax(np.array([[5.0]]), np.array([[2.0]]),
+                                   1.0, 1.0).components
+    assert rung["s"] == (0.0,) and rung["t"] == (0.0,)
 
 
 def test_aux_chain_worked(hinv_pair):
@@ -467,10 +468,10 @@ def test_rowmax_hypothesis_does_not_force_oval_ordering():
     a, b = ROWMAX_CE_A, ROWMAX_CE_B
     ra = rho_nonnegative(a).value
     rb = rho_nonnegative(b).value
-    aux = B.aux_offdiag_max(a, b)
-    assert np.all(aux.s + np.diag(a) >= ra - 1e-12)
-    assert np.all(aux.t + np.diag(b) >= rb - 1e-12)
-    rowmax = B.rho_bound_oval_rowmax(a, b, ra, rb).value
+    rung = B.rho_bound_oval_rowmax(a, b, ra, rb)
+    assert np.all(np.array(rung.components["s"]) + np.diag(a) >= ra - 1e-12)
+    assert np.all(np.array(rung.components["t"]) + np.diag(b) >= rb - 1e-12)
+    rowmax = rung.value
     deficit = B.rho_bound_oval_deficit(a, b, ra, rb).value
     assert rowmax > deficit + 0.05
     # both remain valid upper bounds regardless

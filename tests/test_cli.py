@@ -184,6 +184,27 @@ def test_spectral_tau_overflowing_inverse_exits_2(runner, tmp_path):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("family,pair,p", [
+    ("hadamard", (WORKED_HADAMARD_A, WORKED_HADAMARD_B), []),
+    ("fan", (WORKED_FAN_A, WORKED_FAN_B), []),
+    ("multi-fan", (WORKED_FAN_A, WORKED_FAN_B), ["--p", "2,2"]),
+])
+def test_bounds_product_overflow_exits_2(runner, tmp_path, family, pair, p):
+    # every entry is finite, but the product leaves float64 range
+    paths = [str(tmp_path / f"{k}.txt") for k in "ab"]
+    for path, m in zip(paths, pair):
+        write_matrix(m * 1e200, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = runner.invoke(main, ["bounds", family, *paths, *p])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    product = {"hadamard": "Hadamard product", "fan": "Fan product",
+               "multi-fan": "Fan power of order 2"}[family]
+    assert f"error: the {product} overflows float64" in res.stderr
+    assert "RuntimeWarning" not in res.stderr
+
+
 def test_spectral_tsv(runner):
     res = runner.invoke(main, ["spectral", "rho", fixture("ex21_b.txt"),
                                "--format", "tsv"])
@@ -283,6 +304,31 @@ def test_bounds_and_verify_agree_on_the_worked_pair(runner, family, stem):
     assert reported == {name: trial0[name] for name in reported}
 
 
+@pytest.mark.parametrize("family, stem, tol, flagged", [
+    ("hadamard", "ex21", "-8", {"rho_oval_deficit", "rho_oval_rowmax"}),
+    ("fan", "ex31", "-0.2", {"tau_oval_deficit", "tau_oval_rowmax"}),
+    ("hadamard-inverse", "ex41", "-0.1",
+     {"tau_hinv_jacobi_oval", "tau_hinv_deficit_oval"}),
+    ("multi-fan", "ex31", "-0.3", {"tau_multi_fan"})])
+def test_bounds_and_verify_share_the_verdict(runner, family, stem, tol,
+                                             flagged):
+    # a negative tol between two rung slacks of the worked pair: `bounds`
+    # and trial 0 of `verify` flag the same rungs
+    p = ["--p", "1,1"] if family == "multi-fan" else []
+    res = runner.invoke(main, ["bounds", family, fixture(stem + "_a.txt"),
+                               fixture(stem + "_b.txt"), "--tol", tol, *p])
+    assert res.exit_code == 4
+    from_bounds = {line.split()[1] for line in res.stderr.splitlines()
+                   if line.startswith("violation: ")}
+    ver = runner.invoke(main, ["verify", family, "--with-paper-examples",
+                               "--trials", "1", "--format", "jsonl",
+                               "--tol", tol, *p])
+    assert ver.exit_code == 4
+    trial0 = json.loads(ver.stdout.splitlines()[0])
+    from_verify = set(trial0["violations"].split(";")) & set(trial0)
+    assert from_bounds == from_verify == flagged
+
+
 # --- verify -------------------------------------------------------------------
 
 def test_verify_small_run_exit_0(runner):
@@ -294,12 +340,13 @@ def test_verify_small_run_exit_0(runner):
 
 def test_verify_single_trial_order_one(runner):
     res = runner.invoke(main, ["verify", "hadamard", "--trials", "1",
-                               "--order", "1", "--seed", "0"])
+                               "--order-min", "1", "--order-max", "1",
+                               "--seed", "0"])
     assert res.exit_code == 0
 
 
 def test_verify_multi_fan_with_examples(runner):
-    res = runner.invoke(main, ["verify", "multi-fan", "--m", "2", "--p", "1,1",
+    res = runner.invoke(main, ["verify", "multi-fan", "--p", "1,1",
                                "--trials", "1", "--seed", "0",
                                "--with-paper-examples", "--format", "jsonl"])
     assert res.exit_code == 0
@@ -324,6 +371,23 @@ def test_verify_env_seed_fallback(runner, monkeypatch):
     flagged = runner.invoke(main, ["verify", "hadamard", "--trials", "3",
                                    "--seed", "3", "--format", "jsonl"])
     assert flagged.output == explicit.output
+
+
+@pytest.mark.parametrize("args", [
+    ["bounds", "fan", fixture("ex31_a.txt"), fixture("ex31_b.txt"),
+     "--tol", "nan"],
+    ["bounds", "fan", fixture("ex31_a.txt"), fixture("ex31_b.txt"),
+     "--tol", "inf"],
+    ["verify", "fan", "--trials", "2", "--tol", "nan"],
+    ["verify", "fan", "--trials", "2", "--tol", "inf"],
+    ["verify", "fan", "--trials", "2", "--margin", "inf"]])
+def test_nonfinite_settings_exit_2(runner, args):
+    # a non-finite tol would switch the violation test off; an infinite
+    # margin cannot shift a diagonal
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert "must be finite" in res.stderr
+    assert res.stdout == ""
 
 
 def test_verify_bad_order_range(runner):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from mbound import harness
 from mbound.bounds import HolderExponents
 from mbound.core import classify
 from mbound.errors import ClassMismatchError
@@ -26,6 +27,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         GeneratorSpec(kind="m_matrix", order=3, density=0.5, seed=0,
                       diagonal_margin=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        GeneratorSpec(kind="m_matrix", order=3, density=0.5, seed=0,
+                      diagonal_margin=float("inf"))
 
 
 def test_gen_nonnegative_deterministic():
@@ -63,6 +67,22 @@ def test_lemma_product_m_matrix(hinv_pair):
     a, b = hinv_pair
     assert lemma_product_m_matrix(b, a)  # B o A^-1
     assert lemma_product_m_matrix(a, b)  # A o B^-1
+    with pytest.raises(ClassMismatchError):
+        lemma_product_m_matrix(-a, b)
+
+
+def test_lemma_product_m_matrix_sparse_pair():
+    # trial 0 of seed 16777390 at orders 10-12, density 0.3, margin 0.05:
+    # a pivoted inverse of b has 8 entries of negative rounding dust where
+    # the true inverse is 0, which broke the Z-pattern of a o b^-1
+    spec = GeneratorSpec(kind="m_matrix", order=10, density=0.3,
+                         seed=16777390, diagonal_margin=0.05)
+    rng = harness._trial_rng(spec.seed, 0)
+    n = harness._sample_order(rng, 10, 12)
+    a, b = (gen_m_matrix(spec, rng=rng, order=n) for _ in range(2))
+    assert n == 10
+    assert lemma_product_m_matrix(b, a)
+    assert lemma_product_m_matrix(a, b)
 
 
 def test_suite_reports_are_reproducible():
@@ -148,12 +168,12 @@ def test_golden_injection_hinv():
     assert reports[0].violations == ()
 
 
-def test_golden_tolerance_can_fail():
+def test_golden_tolerance_can_fail(monkeypatch):
     # absurdly tight tolerance: the injected trial must now flag the
     # chained comparisons instead of silently passing
+    monkeypatch.setattr(harness, "GOLDEN_TOL_CHAIN", 1e-15)
     spec = GeneratorSpec(kind="nonnegative", order=2, density=1.0, seed=0)
-    reports = run_hadamard_suite(1, spec, with_examples=True,
-                                 golden_tol_chain=1e-15)
+    reports = run_hadamard_suite(1, spec, with_examples=True)
     assert any(v.startswith("golden:") for v in reports[0].violations)
 
 

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbound import _lu
+from mbound import _lu, spectral
 from mbound.core import cyclic_permutation, fan_product, hadamard
 from mbound.errors import (ClassMismatchError, ConvergenceError,
                            SingularMatrixError)
 from mbound.harness import GeneratorSpec, _sample_order, _trial_rng, gen_m_matrix
-from mbound.spectral import (DEFAULT_CONFIG, SpectralConfig, inverse,
-                             jacobi_radius, rho_nonnegative, tau_m_matrix)
+from mbound.spectral import (inverse, jacobi_radius, rho_nonnegative,
+                             tau_m_matrix)
 from conftest import random_m_matrix, random_nonnegative
 
 
@@ -32,7 +32,7 @@ def test_rho_worked_example(hadamard_pair):
     assert r.value == pytest.approx(np_rho(a), abs=1e-10)
     assert r.eigenvector is not None
     # residual is the Collatz-Wielandt bracket width on the reported value
-    assert r.residual <= DEFAULT_CONFIG.rel_tol
+    assert r.residual <= spectral.REL_TOL
 
 
 def test_rho_exact_two_by_two():
@@ -90,10 +90,10 @@ def test_rho_matches_numpy(n, seed):
     assert rho_nonnegative(a).value == pytest.approx(np_rho(a), abs=1e-8)
 
 
-def test_convergence_error_carries_estimate():
-    cfg = SpectralConfig(rel_tol=1e-15, max_iter=1)
+def test_convergence_error_carries_estimate(monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_ITER", 1)
     with pytest.raises(ConvergenceError) as info:
-        rho_nonnegative(np.array([[1.0, 2.0], [3.0, 4.0]]), cfg)
+        rho_nonnegative(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert info.value.best_estimate == pytest.approx((5 + 33 ** 0.5) / 2, rel=0.2)
 
 
@@ -167,13 +167,6 @@ def test_lu_factor_permutation():
 def test_inverse_singular():
     with pytest.raises(SingularMatrixError):
         inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
-
-
-def test_spectral_config_validation():
-    with pytest.raises(ValueError):
-        SpectralConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        SpectralConfig(max_iter=0)
 
 
 scales = st.floats(min_value=1e-150, max_value=1e150)
