@@ -2,9 +2,11 @@
 
 Two kernels live here.  ``lu_factor`` eliminates with partial pivoting
 and serves general matrices; ``inverse`` reads its factors.  ``m_factor``/
-``m_inverse`` eliminate a Z-matrix without pivoting: that is the
+``m_inverse`` eliminate Z-matrices without pivoting: that is the
 nonsingular M-matrix gate (all pivots positive) and, from the same packed
 factors, an inverse that is entrywise >= 0 with exact structural zeros.
+They take a (k, n, n) stack, loop over the pivot index and vectorize over
+k; a single matrix is a stack of one.
 """
 from __future__ import annotations
 
@@ -70,44 +72,53 @@ def inverse(a: np.ndarray) -> np.ndarray:
 
 
 def m_factor(a: np.ndarray):
-    """Unpivoted A = LU of a Z-matrix; packed factors, or None when a is not
-    a nonsingular M-matrix.
+    """Unpivoted A = LU of each slice of a (k, n, n) stack of Z-matrices.
 
-    A Z-matrix is a nonsingular M-matrix iff elimination without pivoting
-    meets only positive pivots (Berman & Plemmons, ch. 6, Thm 2.3).  Each
-    pivot is compared with M_PIVOT_REL times its row's original diagonal
-    entry, so the test is dimensionless.  Elimination stops at the first
-    pivot that fails.  Schur complements of a Z-matrix are Z-matrices, so
-    L and the off-diagonal of U stay <= 0 in floating point as well.
+    Returns (lu, ok): ``lu`` packs each slice's factors and ``ok[i]`` says
+    whether slice i is a nonsingular M-matrix.  A Z-matrix is one iff
+    elimination without pivoting meets only positive pivots (Berman &
+    Plemmons, ch. 6, Thm 2.3).  Each pivot is compared with M_PIVOT_REL
+    times its row's original diagonal entry, so the test is dimensionless.
+    A slice with a positive off-diagonal entry or a failed pivot leaves
+    the stack and no further arithmetic touches it; its ``lu`` slice is
+    the input.  Schur complements of a Z-matrix are Z-matrices, so L and
+    the off-diagonal of U stay <= 0 in floating point as well.
+
+    The elimination is elementwise, so every slice gets the same bits as
+    a stack of one.
     """
-    n = a.shape[0]
+    n = a.shape[1]
     lu = a.astype(np.float64, copy=True)
-    off = lu.copy()
-    np.fill_diagonal(off, 0.0)
-    if np.any(off > 0.0):
-        return None
-    floor = M_PIVOT_REL * np.diag(a)
-    for k in range(n):
-        piv = lu[k, k]
-        if not piv > floor[k]:
-            return None
-        lu[k + 1:, k] /= piv
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu
+    floor = M_PIVOT_REL * np.diagonal(a, axis1=1, axis2=2)
+    ok = ~np.any((lu > 0.0) & ~np.eye(n, dtype=bool), axis=(1, 2))
+    live = np.flatnonzero(ok)
+    work = lu[live]
+    for j in range(n):
+        piv = work[:, j, j]
+        passed = piv > floor[live, j]
+        if not passed.all():
+            ok[live[~passed]] = False
+            live, work, piv = live[passed], work[passed], piv[passed]
+        work[:, j + 1:, j] /= piv[:, None]
+        work[:, j + 1:, j + 1:] -= (work[:, j + 1:, j, None]
+                                    * work[:, j, None, j + 1:])
+    lu[live] = work
+    return lu, ok
 
 
 def m_inverse(lu: np.ndarray) -> np.ndarray:
-    """Inverse from ``m_factor``'s packed factors, all columns at once.
+    """Inverses from a stack of ``m_factor``'s packed factors, all columns
+    at once.
 
     Every substitution step adds a product of two nonpositive numbers to a
-    nonnegative one, so no cancellation occurs: the result is entrywise
+    nonnegative one, so no cancellation occurs: each result is entrywise
     >= 0 and is exactly zero where the digraph of A has no path i -> j.
     """
-    n = lu.shape[0]
-    x = np.eye(n)
+    n = lu.shape[1]
+    x = np.broadcast_to(np.eye(n), lu.shape).copy()
     for i in range(1, n):  # L Y = I, L unit lower
-        x[i] -= lu[i, :i] @ x[:i]
+        x[:, i] -= (lu[:, i, None, :i] @ x[:, :i])[:, 0]
     for i in range(n - 1, -1, -1):  # U X = Y
-        x[i] -= lu[i, i + 1:] @ x[i + 1:]
-        x[i] /= lu[i, i]
+        x[:, i] -= (lu[:, i, None, i + 1:] @ x[:, i + 1:])[:, 0]
+        x[:, i] /= lu[:, i, i, None]
     return x

@@ -111,31 +111,48 @@ def _offdiag_abs(a: np.ndarray) -> np.ndarray:
 
 
 def _scc_blocks(a: np.ndarray):
-    """Strongly connected components of the off-diagonal nonzero digraph
-    (exact zero threshold), as sorted index lists ordered by first index.
-    This is the package's one graph routine: irreducibility and the block
-    split of a reducible Perron root both come from it.
+    """Per slice of a (k, n, n) stack, the strongly connected components of
+    the off-diagonal nonzero digraph (exact zero threshold), as sorted
+    index lists ordered by first index.  This is the package's one graph
+    routine: irreducibility and the block split of a reducible Perron root
+    both come from it.
 
-    Boolean squaring of I + adjacency reaches the transitive closure in
-    about log2(n) products; i and j share a block iff each reaches the
-    other.
+    Boolean squaring of I + adjacency reaches the transitive closure of
+    every slice in about log2(n) stacked products; i and j share a block
+    iff each reaches the other.  A slice whose closure is full is one
+    block.
     """
-    n = a.shape[0]
+    n = a.shape[1]
     reach = (a != 0.0) | np.eye(n, dtype=bool)
     while True:
         nxt = reach @ reach
         if (nxt == reach).all():
             break
         reach = nxt
-    mutual = reach & reach.T
-    blocks = []
-    seen = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if not seen[i]:
-            members = np.flatnonzero(mutual[i])
-            seen[members] = True
-            blocks.append(members.tolist())
-    return blocks
+    out = []
+    for r, full in zip(reach, reach.all(axis=(1, 2))):
+        if full:
+            out.append([list(range(n))])
+            continue
+        mutual = r & r.T
+        blocks = []
+        seen = np.zeros(n, dtype=bool)
+        for i in range(n):
+            if not seen[i]:
+                members = np.flatnonzero(mutual[i])
+                seen[members] = True
+                blocks.append(members.tolist())
+        out.append(blocks)
+    return out
+
+
+def _by_order(mats):
+    """{n: indices} of a list of square arrays, grouping those of one order
+    so that each group can be stacked."""
+    groups = {}
+    for i, a in enumerate(mats):
+        groups.setdefault(a.shape[0], []).append(i)
+    return groups
 
 
 def classify(a) -> MatrixClassification:
@@ -150,14 +167,15 @@ def classify(a) -> MatrixClassification:
     n = a.shape[0]
     nonnegative = bool(np.all(a >= 0.0))
     z_matrix = bool(np.all((a <= 0.0) | np.eye(n, dtype=bool)))
-    m_matrix = z_matrix and _lu.m_factor(a) is not None
+    m_matrix = z_matrix and bool(_lu.m_factor(a[None])[1][0])
     strictly_dd = bool(np.all(np.abs(np.diag(a))
                               > _offdiag_abs(a).sum(axis=1)))
     return MatrixClassification(
         nonnegative=nonnegative,
         z_matrix=z_matrix,
         nonsingular_m_matrix=m_matrix,
-        irreducible=bool(a[0, 0] != 0.0) if n == 1 else len(_scc_blocks(a)) == 1,
+        irreducible=(bool(a[0, 0] != 0.0) if n == 1
+                     else len(_scc_blocks(a[None])[0]) == 1),
         strictly_row_dd=strictly_dd,
     )
 

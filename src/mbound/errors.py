@@ -31,3 +31,12 @@ class ConvergenceError(MboundError):
     def __init__(self, message, best_estimate):
         super().__init__(message)
         self.best_estimate = best_estimate
+
+
+def unwrap(outcome):
+    """A stacked solve records per problem either its result or the
+    exception that problem raises alone; this returns the result, or
+    raises the exception where the problem's caller would have met it."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

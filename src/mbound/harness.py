@@ -7,6 +7,16 @@ that judges its rungs: the CLI's ``bounds`` and ``run_suite`` both use it.
 Trials are independent: each one derives its own RNG from (seed, trial
 index), so results do not depend on execution order and suites may fan out.
 
+A suite runs in two passes.  The first draws every trial's factors in the
+per-trial RNG order and, for M-matrix factors, takes every diagonal shift
+from one stacked Perron solve and gates every factor with one stacked
+elimination per order.  The second lists each trial's spectral problems
+(``Family.problems``) and solves those of all trials in one stacked call
+per order (``spectral.solve``); the rungs and the structural checks then
+run per trial.  A CLI pair is a suite of one.  An error found in a stacked
+solve is raised at the trial, and at the step of that trial, where a
+one-at-a-time evaluation would have met it.
+
 A trial's ``violations`` tuple names every failed condition — a bound on
 the wrong side of the oracle beyond tolerance, or a structural check
 (M-matrix closure of the product, inverse-entry caps, determinant chains,
@@ -21,11 +31,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _lu, bounds
-from .core import fan_power, fan_product, hadamard, scale_similarity
-from .errors import ClassMismatchError
-from .spectral import (_m_inverse, inverse, jacobi_radius, rho_nonnegative,
-                       tau_m_matrix)
+from . import _lu, bounds, spectral
+from .core import (_by_order, fan_power, fan_product, hadamard,
+                   scale_similarity)
+from .errors import ClassMismatchError, MboundError, unwrap
+from .spectral import _jacobi_matrix, _m_inverse, inverse
 
 __all__ = [
     "GeneratorSpec",
@@ -128,23 +138,48 @@ def gen_m_matrix(spec: GeneratorSpec, rng: Optional[np.random.Generator] = None,
     alpha floors at the margin itself — every elimination pivot is then
     the margin.  The M-matrix gate of ``classify`` (``_lu.m_factor``) is
     asserted on the result; failure raises rather than silently retrying.
+    A margin so large that alpha overflows float64 raises ValueError.
     """
     if rng is None:
         rng = _trial_rng(spec.seed, 0)
     p = gen_nonnegative(spec, rng=rng, order=order)
-    rho = rho_nonnegative(p).value
-    alpha = rho * (1.0 + spec.diagonal_margin) if rho > 0.0 else spec.diagonal_margin
-    a = alpha * np.eye(p.shape[0]) - p
-    if _lu.m_factor(a) is None:
-        raise ClassMismatchError("generated matrix failed M-matrix classification")
-    return a
+    return unwrap(_shift_to_m([p], spec.diagonal_margin)[0])
+
+
+def _shift_to_m(ps, margin: float) -> list:
+    """``gen_m_matrix``'s shift and gate for a list of nonnegative P: per
+    P, alpha*I − P or the error ``gen_m_matrix`` raises for it.  Every
+    rho(P) comes from one ``spectral.solve`` call and every gate from one
+    ``_lu.m_factor`` call per order, so a P gets the same bits here as
+    alone.  alpha is a Python float, so an overflow gives inf without a
+    floating-point warning."""
+    out = spectral.solve([("rho", p) for p in ps])
+    for i, (p, r) in enumerate(zip(ps, out)):
+        if isinstance(r, Exception):
+            continue
+        alpha = r.value * (1.0 + margin) if r.value > 0.0 else margin
+        if math.isfinite(alpha):
+            out[i] = alpha * np.eye(p.shape[0]) - p
+        else:
+            out[i] = ValueError("the diagonal shift rho(P)(1 + margin) "
+                                "overflows float64")
+    for idx in _by_order(ps).values():
+        idx = [i for i in idx if not isinstance(out[i], Exception)]
+        if not idx:
+            continue
+        _, ok = _lu.m_factor(np.stack([out[i] for i in idx]))
+        for i, good in zip(idx, ok.tolist()):
+            if not good:
+                out[i] = ClassMismatchError(
+                    "generated matrix failed M-matrix classification")
+    return out
 
 
 def lemma_product_m_matrix(a, b) -> bool:
     """Closure check: the entrywise product of b with a's inverse is again
     a nonsingular M-matrix.  a⁻¹ comes from the M-matrix gate, whose exact
     zeros keep b's Z-pattern; an a that fails the gate raises."""
-    return _lu.m_factor(hadamard(b, _m_inverse(a))) is not None
+    return bool(_lu.m_factor(hadamard(b, _m_inverse(a))[None])[1][0])
 
 
 # ----------------------------------------------------------------------
@@ -277,10 +312,15 @@ def _spec_pair(spec, order_min, order_max):
 class Family:
     """One product family.
 
-    ``evaluate(mats, variant, exponents)`` returns (oracle, ladder, ctx),
-    ctx holding the per-pair quantities computed on the way;
+    ``problems(mats, exponents, todo)`` appends to ``todo`` the family's
+    spectral problems, ("rho" | "tau", matrix), in the order a one-at-a-time
+    evaluation meets them, and returns ctx, the per-pair quantities formed
+    on the way; ``ladder(mats, variant, exponents, values, ctx)`` takes the
+    solved values in that order and returns (oracle, ladder, ctx);
     ``checks(mats, oracle, ladder, ctx)`` returns the structural
-    (name, passed) pairs and the dominance hypothesis and verdict.
+    (name, passed) pairs and the dominance hypothesis and verdict;
+    ``check_problems(mats, exponents)`` lists the spectral problems the
+    checks need, whose outcomes a suite hands them in ctx["checked"].
     """
 
     kind: str  # GeneratorSpec kind of the generated factors
@@ -288,8 +328,45 @@ class Family:
     golden: str  # key into GOLDEN
     oracle_name: str
     lower: bool  # the ladder bounds the oracle from below
-    evaluate: Callable
+    problems: Callable
+    ladder: Callable
     checks: Callable
+    check_problems: Callable = lambda mats, exponents: []
+
+    def solve(self, trials, exponents, checked: bool = False) -> list:
+        """Per tuple of factors in ``trials``, (values, ctx) or the first
+        error its evaluation meets: every tuple's spectral problems, and
+        with ``checked`` its checks' problems, are solved by one
+        ``spectral.solve`` call, one stack per order.  The checks' outcomes
+        go to ctx["checked"] unopened, so that an error among them is
+        raised by the check that reads it."""
+        todos, ctxs = [], []
+        for mats in trials:
+            todo = []
+            try:
+                ctx = self.problems(mats, exponents, todo)
+            except (MboundError, ValueError) as exc:
+                ctx = exc  # met after the problems already listed
+            more = (self.check_problems(mats, exponents)
+                    if checked and not isinstance(ctx, Exception) else [])
+            todos.append((todo, more))
+            ctxs.append(ctx)
+        results = iter(spectral.solve([p for todo, more in todos
+                                       for p in todo + more]))
+        out = []
+        for (todo, more), ctx in zip(todos, ctxs):
+            res = [next(results) for _ in todo]
+            ctx_checked = [next(results) for _ in more]
+            failed = [r for r in res + [ctx] if isinstance(r, Exception)]
+            out.append(failed[0] if failed else
+                       ([r.value for r in res], {**ctx, "checked": ctx_checked}))
+        return out
+
+    def evaluate(self, mats, variant, exponents):
+        """(oracle, ladder, ctx) of one tuple of factors, by the code path
+        of a suite trial."""
+        values, ctx = unwrap(self.solve([mats], exponents)[0])
+        return self.ladder(mats, variant, exponents, values, ctx)
 
     def slack(self, oracle: float, rung) -> float:
         """oracle − value for lower ladders, value − oracle for upper ones."""
@@ -310,19 +387,24 @@ def _rowmax_aux(rung):
     return np.array(rung.components["s"]), np.array(rung.components["t"])
 
 
-def _hadamard_evaluate(mats, variant, exponents):
+def _hadamard_problems(mats, exponents, todo):
     a, b = mats
-    rho_a = rho_nonnegative(a).value
-    rho_b = rho_nonnegative(b).value
+    todo += [("rho", a), ("rho", b)]
     prod = hadamard(a, b)
-    oracle = rho_nonnegative(prod).value
+    todo.append(("rho", prod))
+    return {"prod": prod}
+
+
+def _hadamard_ladder(mats, variant, exponents, values, ctx):
+    a, b = mats
+    rho_a, rho_b, oracle = values
     ladder = (
         bounds.rho_bound_product(rho_a, rho_b),
         bounds.rho_bound_affine(a, b, rho_a, rho_b),
         bounds.rho_bound_oval_deficit(a, b, rho_a, rho_b),
         bounds.rho_bound_oval_rowmax(a, b, rho_a, rho_b),
     )
-    return oracle, ladder, {"prod": prod, "rho_a": rho_a, "rho_b": rho_b}
+    return oracle, ladder, {**ctx, "rho_a": rho_a, "rho_b": rho_b}
 
 
 def _hadamard_checks(mats, oracle, ladder, ctx):
@@ -349,19 +431,24 @@ def _hadamard_checks(mats, oracle, ladder, ctx):
     return checks, hyp, dom
 
 
-def _fan_evaluate(mats, variant, exponents):
+def _fan_problems(mats, exponents, todo):
     a, b = mats
-    tau_a = tau_m_matrix(a).value
-    tau_b = tau_m_matrix(b).value
+    todo += [("tau", a), ("tau", b)]
     prod = fan_product(a, b)
-    oracle = tau_m_matrix(prod).value
+    todo.append(("tau", prod))
+    return {"prod": prod}
+
+
+def _fan_ladder(mats, variant, exponents, values, ctx):
+    a, b = mats
+    tau_a, tau_b, oracle = values
     ladder = (
         bounds.tau_bound_product(tau_a, tau_b),
         bounds.tau_bound_affine(a, b, tau_a, tau_b),
         bounds.tau_bound_oval_deficit(a, b, tau_a, tau_b),
         bounds.tau_bound_oval_rowmax(a, b, tau_a, tau_b),
     )
-    return oracle, ladder, {"prod": prod, "tau_a": tau_a, "tau_b": tau_b}
+    return oracle, ladder, {**ctx, "tau_a": tau_a, "tau_b": tau_b}
 
 
 def _fan_checks(mats, oracle, ladder, ctx):
@@ -388,15 +475,21 @@ def _fan_checks(mats, oracle, ladder, ctx):
     return checks, hyp, dom
 
 
-def _hinv_evaluate(mats, variant, exponents):
+def _hinv_problems(mats, exponents, todo):
     a, b = mats
     binv = inverse(b)
-    tau_a = tau_m_matrix(a).value
-    tau_b = tau_m_matrix(b).value
-    rho_ja = jacobi_radius(a)
-    rho_jb = jacobi_radius(b)
+    todo += [("tau", a), ("tau", b)]
+    todo.append(("rho", _jacobi_matrix(a)))
+    todo.append(("rho", _jacobi_matrix(b)))
     prod = hadamard(a, binv)
-    oracle = tau_m_matrix(prod).value
+    todo.append(("tau", prod))
+    return {"prod": prod, "binv": binv}
+
+
+def _hinv_ladder(mats, variant, exponents, values, ctx):
+    a, b = mats
+    binv = ctx["binv"]
+    tau_a, tau_b, rho_ja, rho_jb, oracle = values
     scaling = bounds.dominance_scaling(b, binv)
     ladder = (
         bounds.tau_hinv_diag_floor(tau_a, binv),
@@ -406,7 +499,7 @@ def _hinv_evaluate(mats, variant, exponents):
         bounds.tau_hinv_deficit_oval(a, b, binv, tau_a, tau_b, scaling,
                                      variant=variant),
     )
-    return oracle, ladder, {"prod": prod, "binv": binv, "scaling": scaling}
+    return oracle, ladder, {**ctx, "scaling": scaling}
 
 
 def _hinv_checks(mats, oracle, ladder, ctx):
@@ -418,26 +511,39 @@ def _hinv_checks(mats, oracle, ladder, ctx):
     # sinv[j, i] <= caps[j, i] * sinv[i, i]; the unit diagonal of caps
     # makes i == j hold trivially
     over = sinv > caps * np.diag(sinv)[None, :] + CAP_TOL
-    return [("product_is_m_matrix", _lu.m_factor(ctx["prod"]) is not None),
+    return [("product_is_m_matrix", bool(_lu.m_factor(ctx["prod"][None])[1][0])),
             ("inverse_entry_caps", not over.any())], None, None
 
 
-def _multi_fan_evaluate(mats, variant, exponents):
-    taus_pow = [tau_m_matrix(fan_power(mk, pk)).value
-                for mk, pk in zip(mats, exponents.p)]
+def _multi_fan_problems(mats, exponents, todo):
+    for mk, pk in zip(mats, exponents.p):
+        todo.append(("tau", fan_power(mk, pk)))
     acc = mats[0]
     for mk in mats[1:]:
         acc = fan_product(acc, mk)
-    oracle = tau_m_matrix(acc).value
+    todo.append(("tau", acc))
+    return {"p": exponents.p}
+
+
+def _multi_fan_ladder(mats, variant, exponents, values, ctx):
+    *taus_pow, oracle = values
     ladder = (bounds.tau_multi_fan(mats, exponents, taus_pow),)
-    return oracle, ladder, {"p": exponents.p, "taus_pow": taus_pow}
+    return oracle, ladder, {**ctx, "taus_pow": taus_pow}
+
+
+def _multi_fan_check_problems(mats, exponents):
+    """τ of the two factors, for the (2,2) check that the chain bound
+    clears τ(A)·τ(B)."""
+    return ([("tau", mats[0]), ("tau", mats[1])] if exponents.p == (2, 2)
+            else [])
 
 
 def _multi_fan_checks(mats, oracle, ladder, ctx):
     """Reduction identities: a single exponent (1,) returns tau of the
     matrix itself, exponents (1,1) reproduce the affine two-matrix bound to
     1e-12.  fan_power(A, 1) is an exact copy of A, so tau of the first
-    powers is tau of the factors."""
+    powers is tau of the factors.  At (2,2) the chain bound must clear
+    τ(A)·τ(B), with both τ from ctx["checked"]."""
     br = ladder[0]
     p, taus = ctx["p"], ctx["taus_pow"]
     checks = []
@@ -447,8 +553,7 @@ def _multi_fan_checks(mats, oracle, ladder, ctx):
         affine = bounds.tau_bound_affine(mats[0], mats[1], taus[0], taus[1])
         checks.append(("identity_affine", abs(br.value - affine.value) <= 1e-12))
     if p == (2, 2):
-        tau_a = tau_m_matrix(mats[0]).value
-        tau_b = tau_m_matrix(mats[1]).value
+        tau_a, tau_b = (unwrap(r).value for r in ctx["checked"])
         checks.append(("chain_over_product",
                        br.value >= tau_a * tau_b - VIOLATION_TOL))
     return checks, None, None
@@ -458,16 +563,20 @@ def _multi_fan_checks(mats, oracle, ladder, ctx):
 FAMILIES = {
     "hadamard": Family(
         "nonnegative", (WORKED_HADAMARD_A, WORKED_HADAMARD_B), "hadamard",
-        "rho_hadamard", False, _hadamard_evaluate, _hadamard_checks),
+        "rho_hadamard", False, _hadamard_problems, _hadamard_ladder,
+        _hadamard_checks),
     "fan": Family(
         "m_matrix", (WORKED_FAN_A, WORKED_FAN_B), "fan",
-        "tau_fan", True, _fan_evaluate, _fan_checks),
+        "tau_fan", True, _fan_problems, _fan_ladder,
+        _fan_checks),
     "hadamard-inverse": Family(
         "m_matrix", (WORKED_HINV_A, WORKED_HINV_B), "hinv",
-        "tau_hadamard_inverse", True, _hinv_evaluate, _hinv_checks),
+        "tau_hadamard_inverse", True, _hinv_problems, _hinv_ladder,
+        _hinv_checks),
     "multi-fan": Family(
         "m_matrix", (WORKED_FAN_A, WORKED_FAN_B, WORKED_FAN_A), "multi-fan",
-        "tau_multi_fan", True, _multi_fan_evaluate, _multi_fan_checks),
+        "tau_multi_fan", True, _multi_fan_problems, _multi_fan_ladder,
+        _multi_fan_checks, _multi_fan_check_problems),
 }
 
 
@@ -487,17 +596,30 @@ def run_suite(family: Family, trials: int, spec: GeneratorSpec,
         raise ValueError("trials must be >= 1")
     m = 2 if exponents is None else len(exponents.p)
     omin, omax = _spec_pair(spec, order_min, order_max)
-    gen = gen_nonnegative if family.kind == "nonnegative" else gen_m_matrix
+    first = 1 if with_examples else 0
+    drawn = []
+    for t in range(first, trials):
+        rng = _trial_rng(spec.seed, t)
+        n = _sample_order(rng, omin, omax)
+        drawn.extend(gen_nonnegative(spec, rng=rng, order=n) for _ in range(m))
+    if family.kind == "m_matrix":
+        drawn = _shift_to_m(drawn, spec.diagonal_margin)
+    made = []
+    if with_examples:
+        made.append([family.worked[k % len(family.worked)].copy()
+                     for k in range(m)])
+    for t in range(trials - first):
+        # a trial whose factors failed to generate holds its first error
+        mats = drawn[t * m:(t + 1) * m]
+        made.append(next((x for x in mats if isinstance(x, Exception)), mats))
+    good = [t for t, mats in enumerate(made) if not isinstance(mats, Exception)]
+    solved = dict(zip(good, family.solve([made[t] for t in good], exponents,
+                                         checked=True)))
     reports = []
     for t in range(trials):
-        rng = _trial_rng(spec.seed, t)
-        if with_examples and t == 0:
-            mats = [family.worked[k % len(family.worked)].copy()
-                    for k in range(m)]
-        else:
-            n = _sample_order(rng, omin, omax)
-            mats = [gen(spec, rng=rng, order=n) for _ in range(m)]
-        oracle, ladder, ctx = family.evaluate(mats, variant, exponents)
+        mats = unwrap(made[t])
+        values, ctx = unwrap(solved[t])
+        oracle, ladder, ctx = family.ladder(mats, variant, exponents, values, ctx)
         checks, hyp, dom = family.checks(mats, oracle, ladder, ctx)
         if with_examples and t == 0 and m == 2:
             checks.extend(_golden_checks(family.golden, oracle, ladder))

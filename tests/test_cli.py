@@ -390,6 +390,17 @@ def test_nonfinite_settings_exit_2(runner, args):
     assert res.stdout == ""
 
 
+def test_verify_overflowing_margin_exits_2(runner):
+    # a finite margin whose diagonal shift rho(P)(1 + margin) overflows is
+    # a bad setting, not a generated matrix that fails its class gate
+    res = runner.invoke(main, ["verify", "fan", "--trials", "2",
+                               "--margin", "1e308"])
+    assert res.exit_code == 2
+    assert res.stderr == ("error: the diagonal shift rho(P)(1 + margin) "
+                          "overflows float64\n")
+    assert res.stdout == ""
+
+
 def test_verify_bad_order_range(runner):
     res = runner.invoke(main, ["verify", "fan", "--trials", "2",
                                "--order-min", "5", "--order-max", "2"])

@@ -183,3 +183,30 @@ def test_trials_argument_validated():
         run_hadamard_suite(0, spec)
     with pytest.raises(ValueError):
         run_hadamard_suite(3, spec, order_min=5, order_max=2)
+
+
+@pytest.mark.parametrize("family", list(harness.FAMILIES))
+@pytest.mark.parametrize("order_min, order_max, density, margin, trials", [
+    (2, 8, 1.0, 0.5, 12),  # the verify defaults
+    (10, 12, 0.3, 0.05, 4),  # sparse, large, near-singular
+])
+def test_suite_inputs_rebuild_one_matrix_at_a_time(family, order_min,
+                                                   order_max, density,
+                                                   margin, trials):
+    # a suite draws and shifts all its factors in stacks; rebuilding trial
+    # t from its own stream, one generator call per factor, must give the
+    # same bits
+    fam = harness.FAMILIES[family]
+    spec = GeneratorSpec(kind=fam.kind, order=order_min, density=density,
+                         seed=21, diagonal_margin=margin)
+    exponents = HolderExponents((2, 2)) if family == "multi-fan" else None
+    reports = harness.run_suite(fam, trials, spec, order_min=order_min,
+                                order_max=order_max, exponents=exponents)
+    gen = gen_nonnegative if fam.kind == "nonnegative" else gen_m_matrix
+    assert len(reports) == trials
+    for t, rep in enumerate(reports):
+        rng = harness._trial_rng(spec.seed, t)
+        n = harness._sample_order(rng, order_min, order_max)
+        mats = [gen(spec, rng=rng, order=n) for _ in range(2)]
+        assert (rep.trial, rep.order) == (t, n)
+        assert rep.digests == tuple(harness._digest(a) for a in mats)

@@ -223,9 +223,9 @@ def _reachable(a):
 def test_m_inverse_sign_exact(n, seed, density, margin):
     a = random_m_matrix(np.random.default_rng(seed), n, margin=margin,
                         density=density)
-    lu = _lu.m_factor(a)
-    assert lu is not None
-    inv = _lu.m_inverse(lu)
+    lu, ok = _lu.m_factor(a[None])
+    assert ok[0]
+    inv = _lu.m_inverse(lu)[0]
     assert np.all(inv >= 0.0)
     np.testing.assert_array_equal(inv != 0.0, _reachable(a))
     ref = np.linalg.inv(a)
@@ -240,4 +240,62 @@ def test_m_factor_rejects():
               [[1.0, -2.0], [-1.0, 1.0]],
               [[2.0, 0.5], [0.0, 2.0]],
               [[-1.0]]):
-        assert _lu.m_factor(np.array(a)) is None
+        assert not _lu.m_factor(np.array(a)[None])[1][0]
+
+
+def _m_factor_reference(a):
+    """The per-matrix elimination that ``_lu.m_factor`` runs on every slice
+    of a stack: packed factors, or None when a fails the gate."""
+    n = a.shape[0]
+    lu = a.astype(np.float64, copy=True)
+    off = lu.copy()
+    np.fill_diagonal(off, 0.0)
+    if np.any(off > 0.0):
+        return None
+    floor = _lu.M_PIVOT_REL * np.diag(a)
+    for k in range(n):
+        piv = lu[k, k]
+        if not piv > floor[k]:
+            return None
+        lu[k + 1:, k] /= piv
+        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    return lu
+
+
+def _same_outcome(x, y):
+    if isinstance(x, Exception) or isinstance(y, Exception):
+        return type(x) is type(y) and str(x) == str(y)
+    vectors = (x.eigenvector is None and y.eigenvector is None
+               or x.eigenvector is not None and y.eigenvector is not None
+               and np.array_equal(x.eigenvector, y.eigenvector))
+    return (x.value, x.iterations, x.residual) == (
+        y.value, y.iterations, y.residual) and vectors
+
+
+@given(n=st.integers(1, 12), k=st.integers(1, 6), seed=st.integers(0, 10 ** 6),
+       density=densities)
+@settings(max_examples=120, deadline=None)
+def test_stacked_solves_match_a_stack_of_one(n, k, seed, density):
+    # every other slice is made reducible (block triangular), and the
+    # diagonal shifts straddle rho(P), so some M-candidates fail the gate
+    rng = np.random.default_rng(seed)
+    ps, ms = [], []
+    for i in range(k):
+        p = random_nonnegative(rng, n, density)
+        if i % 2 and n > 1:
+            p[: n // 2, n // 2:] = 0.0
+        rho = np_rho(p)
+        shift = rho * rng.uniform(0.9, 1.5) if rho > 0 else 0.5
+        ps.append(p)
+        ms.append(shift * np.eye(n) - p)
+    problems = [("rho", p) for p in ps] + [("tau", m) for m in ms]
+    stacked = spectral.solve(problems)
+    for problem, outcome in zip(problems, stacked):
+        assert _same_outcome(outcome, spectral.solve([problem])[0])
+    lu, ok = _lu.m_factor(np.stack(ms))
+    for i, m in enumerate(ms):
+        ref = _m_factor_reference(m)
+        one_lu, one_ok = _lu.m_factor(m[None])
+        assert ok[i] == one_ok[0] == (ref is not None)
+        if ok[i]:
+            assert np.array_equal(lu[i], ref) and np.array_equal(one_lu[0], ref)
