@@ -274,9 +274,6 @@ def cmd_spectral(which, file, fmt):
 @main.command("bounds")
 @click.argument("family", type=click.Choice(list(harness.FAMILIES)))
 @click.argument("files", nargs=-1, required=True, type=click.Path())
-@click.option("--variant", type=click.Choice(["statement", "proof"]),
-              default="proof", show_default=True,
-              help="Deficit-oval selector for the hadamard-inverse family.")
 @click.option("--p", "p_spec", default=None,
               help="Comma-separated Hölder exponents for multi-fan "
                    "(default: all ones).")
@@ -284,7 +281,7 @@ def cmd_spectral(which, file, fmt):
               show_default=True,
               help="Direction-violation tolerance for the exit-4 check.")
 @format_option
-def cmd_bounds(family, files, variant, p_spec, tol, fmt):
+def cmd_bounds(family, files, p_spec, tol, fmt):
     """Evaluate one bound family against its oracle on explicit files.
 
     hadamard, fan and hadamard-inverse take exactly two files; multi-fan
@@ -298,7 +295,7 @@ def cmd_bounds(family, files, variant, p_spec, tol, fmt):
         exponents = _parse_exponents(p_spec, len(mats))
     fam = harness.FAMILIES[family]
     with _exit_codes():
-        oracle, ladder, _ = fam.evaluate(mats, variant, exponents)
+        oracle, ladder = fam.evaluate(mats, exponents)
         rows = [{"bound": br.name, "direction": br.direction,
                  "value": br.value, "slack": fam.slack(oracle, br)}
                 for br in ladder]
@@ -308,11 +305,6 @@ def cmd_bounds(family, files, variant, p_spec, tol, fmt):
     else:
         rows = [{"bound": "oracle", "direction": "-", "value": oracle,
                  "slack": 0.0}] + rows
-    if family == "hadamard-inverse" and fmt == "table":
-        deficit = ladder[-1].components
-        _echo("variant: %s (proof=%.17g statement=%.17g)" % (
-            deficit["variant"], deficit["proof_value"],
-            deficit["statement_value"]))
     _emit(rows, fmt)
     if bad:
         for r in bad:
@@ -348,8 +340,6 @@ def _parse_exponents(p_spec: Optional[str], m: int) -> bnd.HolderExponents:
 @click.option("--density", type=float, default=1.0, show_default=True)
 @click.option("--margin", type=float, default=0.5, show_default=True,
               help="Diagonal dominance margin for generated M-matrices.")
-@click.option("--variant", type=click.Choice(["statement", "proof"]),
-              default="proof", show_default=True)
 @click.option("--p", "p_spec", default=None,
               help="Comma-separated Hölder exponents for multi-fan; their "
                    "count is the number of factors.")
@@ -360,7 +350,7 @@ def _parse_exponents(p_spec: Optional[str], m: int) -> bnd.HolderExponents:
               show_default=True, help="Direction-violation tolerance.")
 @format_option
 def cmd_verify(family, trials, seed, order_min, order_max, density, margin,
-               variant, p_spec, with_examples, tol, fmt):
+               p_spec, with_examples, tol, fmt):
     """Run a randomized suite and exit 0 iff it reports zero violations."""
     if seed is None:
         seed = _seed_default()
@@ -376,8 +366,7 @@ def cmd_verify(family, trials, seed, order_min, order_max, density, margin,
             exponents = _parse_exponents(p_spec, len(p_spec.split(",")))
         reports = harness.run_suite(
             fam, trials, spec, order_min=order_min, order_max=order_max,
-            with_examples=with_examples, variant=variant, exponents=exponents,
-            tol=tol)
+            with_examples=with_examples, exponents=exponents, tol=tol)
     rows = []
     max_slack = 0.0
     n_viol = 0

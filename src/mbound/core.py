@@ -1,8 +1,10 @@
 """Dense square matrices, entrywise products, and structural classification.
 
 Matrices are plain float64 numpy arrays of shape (n, n).  ``as_matrix`` is
-the single validation gate; every public operation routes its inputs
-through it.
+the single validation gate, run where input enters: every public operation
+routes its inputs through it, and the private kernels (``_hadamard``,
+``_fan_product``, ``_fan_power``, ``_scale_similarity``) take arrays that
+are already checked.
 """
 from __future__ import annotations
 
@@ -50,11 +52,15 @@ def as_matrix(obj) -> np.ndarray:
     return a
 
 
+def _same_order(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape[0] != b.shape[0]:
+        raise ValueError("order mismatch")
+
+
 def _pair(a, b):
     a = as_matrix(a)
     b = as_matrix(b)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("order mismatch")
+    _same_order(a, b)
     return a, b
 
 
@@ -65,12 +71,24 @@ def _finite(out: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
-def hadamard(a, b) -> np.ndarray:
-    """Entrywise product a_ij * b_ij."""
-    a, b = _pair(a, b)
+def _hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    _same_order(a, b)
     with np.errstate(over="ignore"):
         out = a * b
     return _finite(out, "Hadamard product")
+
+
+def hadamard(a, b) -> np.ndarray:
+    """Entrywise product a_ij * b_ij."""
+    return _hadamard(as_matrix(a), as_matrix(b))
+
+
+def _fan_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    _same_order(a, b)
+    with np.errstate(over="ignore"):
+        out = -(a * b)
+        np.fill_diagonal(out, np.diag(a) * np.diag(b))
+    return _finite(out, "Fan product")
 
 
 def fan_product(a, b) -> np.ndarray:
@@ -79,11 +97,16 @@ def fan_product(a, b) -> np.ndarray:
     Meaningful when both inputs have nonpositive off-diagonals (the result
     then keeps that sign pattern); not enforced here.
     """
-    a, b = _pair(a, b)
+    return _fan_product(as_matrix(a), as_matrix(b))
+
+
+def _fan_power(a: np.ndarray, p: int) -> np.ndarray:
+    if p == 1:
+        return a.copy()
     with np.errstate(over="ignore"):
-        out = -(a * b)
-        np.fill_diagonal(out, np.diag(a) * np.diag(b))
-    return _finite(out, "Fan product")
+        out = -np.abs(a) ** p
+        np.fill_diagonal(out, np.diag(a) ** p)
+    return _finite(out, f"Fan power of order {p}")
 
 
 def fan_power(a, p: int) -> np.ndarray:
@@ -94,19 +117,16 @@ def fan_power(a, p: int) -> np.ndarray:
     a = as_matrix(a)
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise ValueError("exponent must be a positive integer")
-    if p == 1:
-        return a.copy()
-    with np.errstate(over="ignore"):
-        out = -np.abs(a) ** p
-        np.fill_diagonal(out, np.diag(a) ** p)
-    return _finite(out, f"Fan power of order {p}")
+    return _fan_power(a, p)
 
 
 def _offdiag_abs(a: np.ndarray) -> np.ndarray:
-    """|a| with a zero diagonal: the off-diagonal magnitudes that row sums,
-    row maxima and dominance tests read."""
+    """|a| with a zero diagonal, for a matrix or each slice of a stack: the
+    off-diagonal magnitudes that row sums, row maxima and dominance tests
+    read."""
     off = np.abs(a)
-    np.fill_diagonal(off, 0.0)
+    idx = np.arange(a.shape[-1])
+    off[..., idx, idx] = 0.0
     return off
 
 
@@ -180,6 +200,12 @@ def classify(a) -> MatrixClassification:
     )
 
 
+def _scale_similarity(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """D^-1 A D of a matrix, or of each slice of a stack with d one row
+    per slice."""
+    return a * (d[..., None, :] / d[..., :, None])
+
+
 def scale_similarity(a, d) -> np.ndarray:
     """Diagonal similarity D^-1 A D with D = diag(d); preserves the spectrum
     and the nonzero pattern, leaves the diagonal untouched."""
@@ -189,7 +215,7 @@ def scale_similarity(a, d) -> np.ndarray:
         raise ValueError("order mismatch")
     if np.any(d <= 0.0):
         raise ValueError("scaling vector must be strictly positive")
-    return a * (d[None, :] / d[:, None])
+    return _scale_similarity(a, d)
 
 
 def cyclic_permutation(n: int) -> np.ndarray:

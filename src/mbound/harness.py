@@ -7,15 +7,22 @@ that judges its rungs: the CLI's ``bounds`` and ``run_suite`` both use it.
 Trials are independent: each one derives its own RNG from (seed, trial
 index), so results do not depend on execution order and suites may fan out.
 
-A suite runs in two passes.  The first draws every trial's factors in the
-per-trial RNG order and, for M-matrix factors, takes every diagonal shift
-from one stacked Perron solve and gates every factor with one stacked
-elimination per order.  The second lists each trial's spectral problems
-(``Family.problems``) and solves those of all trials in one stacked call
-per order (``spectral.solve``); the rungs and the structural checks then
-run per trial.  A CLI pair is a suite of one.  An error found in a stacked
-solve is raised at the trial, and at the step of that trial, where a
-one-at-a-time evaluation would have met it.
+A suite runs in three passes.  The first draws every trial's factors in
+the per-trial RNG order and, for M-matrix factors, takes every diagonal
+shift from one stacked Perron solve and gates every factor with one
+stacked elimination per order.  The second lists each trial's spectral
+problems (``Family.problems``) and solves those of all trials in one
+stacked call per order (``spectral.solve``).  The third evaluates the
+ladders and the structural checks of all trials of one order as one
+(T, n, n) stack (``Family.assess``), and the per-trial ``BoundResult`` and
+``TrialReport`` records are built at the end.  A CLI pair is a stack of
+one.  Input is validated once, where it enters: by ``cli.read_matrix``
+for the CLI, by ``as_matrix`` in the public ``core`` and ``bounds``
+functions, and by construction for the generated factors, which are
+finite float64.  No kernel checks its arrays again.  Clamp warnings and errors
+are recorded per trial and replayed in trial order, so a stacked suite
+logs what a one-at-a-time evaluation would log and raises its error at the
+trial, and the step of that trial, where that evaluation would meet it.
 
 A trial's ``violations`` tuple names every failed condition — a bound on
 the wrong side of the oracle beyond tolerance, or a structural check
@@ -32,10 +39,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _lu, bounds, spectral
-from .core import (_by_order, fan_power, fan_product, hadamard,
-                   scale_similarity)
+from .bounds import _diag
+from .core import (_by_order, _fan_power, _fan_product, _hadamard,
+                   _scale_similarity, hadamard)
 from .errors import ClassMismatchError, MboundError, unwrap
-from .spectral import _jacobi_matrix, _m_inverse, inverse
+from .spectral import _jacobi_matrix, _m_inverse
 
 __all__ = [
     "GeneratorSpec",
@@ -107,7 +115,7 @@ class TrialReport:
 
 
 def _digest(a: np.ndarray) -> str:
-    payload = ";".join("%.17g" % x for x in a.ravel())
+    payload = ";".join(map("%.17g".__mod__, a.ravel().tolist()))
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
@@ -249,7 +257,8 @@ GOLDEN = {
         "tau_hinv_chain": (0.08, "chain"),
         # circulated figure 0.1524 does not match direct computation
         "tau_hinv_jacobi_oval": (0.14567819318505643, "chain"),
-        "tau_hinv_deficit_oval": (0.1929, "chain"),
+        # circulated figure 0.1929 comes from radii that do not cap B⁻¹
+        "tau_hinv_deficit_oval": (0.17610873206162017, "chain"),
     },
     "multi-fan": {
         "oracle": (0.937703658712982, "direct"),
@@ -261,6 +270,7 @@ REFERENCE_DISCREPANCIES = {
     "fan:oracle": 0.8819,
     "hinv:tau_hinv_jacobi_ratio": 0.0707,
     "hinv:tau_hinv_jacobi_oval": 0.1524,
+    "hinv:tau_hinv_deficit_oval": 0.1929,
 }
 
 GOLDEN_TOL_DIRECT = 5e-4
@@ -312,13 +322,18 @@ def _spec_pair(spec, order_min, order_max):
 class Family:
     """One product family.
 
-    ``problems(mats, exponents, todo)`` appends to ``todo`` the family's
-    spectral problems, ("rho" | "tau", matrix), in the order a one-at-a-time
-    evaluation meets them, and returns ctx, the per-pair quantities formed
-    on the way; ``ladder(mats, variant, exponents, values, ctx)`` takes the
-    solved values in that order and returns (oracle, ladder, ctx);
-    ``checks(mats, oracle, ladder, ctx)`` returns the structural
-    (name, passed) pairs and the dominance hypothesis and verdict;
+    ``problems(mats, exponents, todo)`` appends to ``todo`` the spectral
+    problems of one tuple of factors, ("rho" | "tau", matrix), in the order
+    a one-at-a-time evaluation meets them, and returns ctx, the per-pair
+    quantities formed on the way.  The rest works on a stack of T tuples of
+    one order: mats holds one (T, n, n) stack per factor, values is the
+    (T, k) array of solved values and ctx the stacked per-pair quantities.
+    ``ladder(mats, exponents, values, ctx, log)`` returns (oracle, rungs,
+    ctx), one ``bounds._Rungs`` per rung; ``checks(mats, exponents, oracle,
+    rungs, ctx, log)`` returns the structural checks as (name, passed,
+    where) triples of (T,) arrays (``where`` None for a check every slice
+    has), and the dominance hypothesis and verdict as (T,) arrays or None.
+    Both record each slice's clamp warnings and errors in ``log``.
     ``check_problems(mats, exponents)`` lists the spectral problems the
     checks need, whose outcomes a suite hands them in ctx["checked"].
     """
@@ -362,11 +377,47 @@ class Family:
                        ([r.value for r in res], {**ctx, "checked": ctx_checked}))
         return out
 
-    def evaluate(self, mats, variant, exponents):
-        """(oracle, ladder, ctx) of one tuple of factors, by the code path
-        of a suite trial."""
-        values, ctx = unwrap(self.solve([mats], exponents)[0])
-        return self.ladder(mats, variant, exponents, values, ctx)
+    def assess(self, trials, solved, exponents, checked: bool = True) -> list:
+        """Per tuple of factors in ``trials``, with its (values, ctx) from
+        ``solve``: (log, slice, oracle, ladder, checks, hyp, dom).  The
+        ladders, and with ``checked`` the checks, of all tuples of one order
+        are one stack; ``log.flush(slice)`` logs the tuple's clamp warnings
+        and raises its error, as a one-at-a-time evaluation would."""
+        out = [None] * len(trials)
+        for idx in _by_order([mats[0] for mats in trials]).values():
+            lg = bounds._Log(len(idx))
+            mats = [np.array(f) for f in zip(*(trials[t] for t in idx))]
+            values = np.array([solved[t][0] for t in idx])
+            ctxs = [solved[t][1] for t in idx]
+            ctx = {key: (np.array([c[key] for c in ctxs])
+                         if isinstance(ctxs[0][key], np.ndarray)
+                         else [c[key] for c in ctxs]) for key in ctxs[0]}
+            oracle, rungs, ctx = self.ladder(mats, exponents, values, ctx, lg)
+            checks, hyp, dom = ([], None, None)
+            if checked:
+                checks, hyp, dom = self.checks(mats, exponents, oracle, rungs,
+                                               ctx, lg)
+            ladders = list(zip(*(r.records() for r in rungs)))
+            checks = [(name, ok.tolist(), None if where is None else where.tolist())
+                      for name, ok, where in checks]
+            hyp = [None] * len(idx) if hyp is None else hyp.tolist()
+            dom = [None] * len(idx) if dom is None else dom.tolist()
+            for i, (t, oracle_t) in enumerate(zip(idx, oracle.tolist())):
+                out[t] = (lg, i, oracle_t, ladders[i],
+                          [(name, ok[i]) for name, ok, where in checks
+                           if where is None or where[i]],
+                          hyp[i], dom[i] if hyp[i] else None)
+        return out
+
+    def evaluate(self, mats, exponents):
+        """(oracle, ladder) of one tuple of factors, by the code path of a
+        suite trial: a stack of one, without the checks.  The factors are
+        square, finite float64 arrays, as ``cli.read_matrix`` returns."""
+        solved = unwrap(self.solve([mats], exponents)[0])
+        lg, i, oracle, ladder, *_ = self.assess([mats], [solved], exponents,
+                                                checked=False)[0]
+        lg.flush(i)
+        return oracle, ladder
 
     def slack(self, oracle: float, rung) -> float:
         """oracle − value for lower ladders, value − oracle for upper ones."""
@@ -381,153 +432,166 @@ class Family:
         return slack < -tol
 
 
-def _rowmax_aux(rung):
-    """The off-diagonal row maxima s (first factor) and t (second factor)
-    that a rowmax oval rung recorded."""
-    return np.array(rung.components["s"]), np.array(rung.components["t"])
+def _det_chains(lg, chain, n, *cols) -> np.ndarray:
+    """chain(*scalars, n) per slice, in Python floats: their ** is libm's
+    pow, where numpy's x**2 is x*x, and the two differ in the last bit on
+    some inputs.  A power that overflows raises OverflowError; that becomes
+    the slice's error, and its verdict False."""
+    out = []
+    for t, args in enumerate(zip(*(c.tolist() for c in cols))):
+        try:
+            out.append(chain(*args, n))
+        except OverflowError as exc:
+            lg.fail(t, exc)
+            out.append(False)
+    return np.array(out, dtype=bool)
 
 
 def _hadamard_problems(mats, exponents, todo):
     a, b = mats
     todo += [("rho", a), ("rho", b)]
-    prod = hadamard(a, b)
+    prod = _hadamard(a, b)
     todo.append(("rho", prod))
     return {"prod": prod}
 
 
-def _hadamard_ladder(mats, variant, exponents, values, ctx):
+def _hadamard_ladder(mats, exponents, values, ctx, lg):
     a, b = mats
-    rho_a, rho_b, oracle = values
+    rho_a, rho_b, oracle = values.T
     ladder = (
-        bounds.rho_bound_product(rho_a, rho_b),
-        bounds.rho_bound_affine(a, b, rho_a, rho_b),
-        bounds.rho_bound_oval_deficit(a, b, rho_a, rho_b),
-        bounds.rho_bound_oval_rowmax(a, b, rho_a, rho_b),
+        bounds._rho_product(rho_a, rho_b, lg),
+        bounds._rho_affine(a, b, rho_a, rho_b, lg),
+        bounds._rho_oval_deficit(a, b, rho_a, rho_b, lg),
+        bounds._rho_oval_rowmax(a, b, rho_a, rho_b, lg),
     )
     return oracle, ladder, {**ctx, "rho_a": rho_a, "rho_b": rho_b}
 
 
-def _hadamard_checks(mats, oracle, ladder, ctx):
+def _hadamard_det_chain(det, oracle, w, n):
+    c1 = _chain_le(det, oracle ** n)
+    c2 = _chain_le(oracle ** n, w ** n)
+    return c1 and c2
+
+
+def _hadamard_checks(mats, exponents, oracle, ladder, ctx, lg):
     a, b = mats
-    n = a.shape[0]
+    n = a.shape[1]
     prod = ctx["prod"]
     # anchor: the oracle can never undercut a diagonal product
     checks = [("diag_anchor",
-               oracle >= float(np.max(np.diag(prod))) - VIOLATION_TOL)]
+               oracle >= _diag(prod).max(axis=1) - VIOLATION_TOL, None)]
     # determinant chain: |det| <= oracle^n <= (tightest upper bound)^n, with
     # numpy's determinant as an independent reference
-    det = abs(np.linalg.det(prod))
-    c1 = _chain_le(det, oracle ** n)
-    c2 = _chain_le(oracle ** n, ladder[3].value ** n)
-    checks.append(("det_chain", c1 and c2))
+    det = np.abs(np.linalg.det(prod))
+    checks.append(("det_chain", _det_chains(lg, _hadamard_det_chain, n, det,
+                                            oracle, ladder[3].values), None))
     # conditional dominance of the rowmax oval over the deficit oval
-    s, t = _rowmax_aux(ladder[3])
-    hyp = bool(np.all(t + np.diag(b) >= ctx["rho_b"])
-               and np.all(s + np.diag(a) >= ctx["rho_a"]))
-    dom = None
-    if hyp:
-        dom = ladder[3].value <= ladder[2].value + DOMINANCE_TOL
-        checks.append(("conditional_dominance", dom))
+    s, t = ladder[3].components["s"], ladder[3].components["t"]
+    hyp = ((t + _diag(b) >= ctx["rho_b"][:, None]).all(axis=1)
+           & (s + _diag(a) >= ctx["rho_a"][:, None]).all(axis=1))
+    dom = ladder[3].values <= ladder[2].values + DOMINANCE_TOL
+    checks.append(("conditional_dominance", dom, hyp))
     return checks, hyp, dom
 
 
 def _fan_problems(mats, exponents, todo):
     a, b = mats
     todo += [("tau", a), ("tau", b)]
-    prod = fan_product(a, b)
+    prod = _fan_product(a, b)
     todo.append(("tau", prod))
     return {"prod": prod}
 
 
-def _fan_ladder(mats, variant, exponents, values, ctx):
+def _fan_ladder(mats, exponents, values, ctx, lg):
     a, b = mats
-    tau_a, tau_b, oracle = values
+    tau_a, tau_b, oracle = values.T
     ladder = (
-        bounds.tau_bound_product(tau_a, tau_b),
-        bounds.tau_bound_affine(a, b, tau_a, tau_b),
-        bounds.tau_bound_oval_deficit(a, b, tau_a, tau_b),
-        bounds.tau_bound_oval_rowmax(a, b, tau_a, tau_b),
+        bounds._tau_product(tau_a, tau_b, lg),
+        bounds._tau_affine(a, b, tau_a, tau_b, lg),
+        bounds._tau_oval_deficit(a, b, tau_a, tau_b, lg),
+        bounds._tau_oval_rowmax(a, b, tau_a, tau_b, lg),
     )
     return oracle, ladder, {**ctx, "tau_a": tau_a, "tau_b": tau_b}
 
 
-def _fan_checks(mats, oracle, ladder, ctx):
-    a, b = mats
-    n = a.shape[0]
-    prod = ctx["prod"]
-    checks = [("diag_anchor",
-               oracle <= float(np.min(np.diag(prod))) + VIOLATION_TOL)]
-    # determinant chain: |det| >= oracle^n >= bound^n (bound >= 0 or odd n)
-    det = abs(np.linalg.det(prod))
+def _fan_det_chain(det, oracle, w, n):
+    # |det| >= oracle^n >= bound^n (bound >= 0 or odd n)
     c1 = _chain_le(oracle ** n, det)
-    w = ladder[3].value
     c2 = True
     if w >= 0.0 or n % 2 == 1:
         c2 = _chain_le(w * abs(w) ** (n - 1), oracle ** n)
-    checks.append(("det_chain", c1 and c2))
-    s, t = _rowmax_aux(ladder[3])
-    hyp = bool(np.all(np.diag(a) >= ctx["tau_a"] + s)
-               and np.all(np.diag(b) >= ctx["tau_b"] + t))
-    dom = None
-    if hyp:
-        dom = ladder[3].value >= ladder[2].value - DOMINANCE_TOL
-        checks.append(("conditional_dominance", dom))
+    return c1 and c2
+
+
+def _fan_checks(mats, exponents, oracle, ladder, ctx, lg):
+    a, b = mats
+    n = a.shape[1]
+    prod = ctx["prod"]
+    checks = [("diag_anchor",
+               oracle <= _diag(prod).min(axis=1) + VIOLATION_TOL, None)]
+    det = np.abs(np.linalg.det(prod))
+    checks.append(("det_chain", _det_chains(lg, _fan_det_chain, n, det,
+                                            oracle, ladder[3].values), None))
+    s, t = ladder[3].components["s"], ladder[3].components["t"]
+    hyp = ((_diag(a) >= ctx["tau_a"][:, None] + s).all(axis=1)
+           & (_diag(b) >= ctx["tau_b"][:, None] + t).all(axis=1))
+    dom = ladder[3].values >= ladder[2].values - DOMINANCE_TOL
+    checks.append(("conditional_dominance", dom, hyp))
     return checks, hyp, dom
 
 
 def _hinv_problems(mats, exponents, todo):
     a, b = mats
-    binv = inverse(b)
+    binv = _lu.inverse(b)
     todo += [("tau", a), ("tau", b)]
     todo.append(("rho", _jacobi_matrix(a)))
     todo.append(("rho", _jacobi_matrix(b)))
-    prod = hadamard(a, binv)
+    prod = _hadamard(a, binv)
     todo.append(("tau", prod))
     return {"prod": prod, "binv": binv}
 
 
-def _hinv_ladder(mats, variant, exponents, values, ctx):
+def _hinv_ladder(mats, exponents, values, ctx, lg):
+    """τ(B) is solved as B's class gate; no rung reads it."""
     a, b = mats
     binv = ctx["binv"]
-    tau_a, tau_b, rho_ja, rho_jb, oracle = values
-    scaling = bounds.dominance_scaling(b, binv)
+    tau_a, _, rho_ja, rho_jb, oracle = values.T
+    scaling = bounds._dominance_scaling(b, binv, lg)
     ladder = (
-        bounds.tau_hinv_diag_floor(tau_a, binv),
-        bounds.tau_hinv_jacobi_ratio(a, b, rho_ja, rho_jb),
-        bounds.tau_hinv_chain(a, b, scaling),
-        bounds.tau_hinv_jacobi_oval(a, b, binv, rho_ja, rho_jb),
-        bounds.tau_hinv_deficit_oval(a, b, binv, tau_a, tau_b, scaling,
-                                     variant=variant),
+        bounds._tau_hinv_diag_floor(tau_a, binv, lg),
+        bounds._tau_hinv_jacobi_ratio(a, b, rho_ja, rho_jb, lg),
+        bounds._tau_hinv_chain(a, b, scaling, lg),
+        bounds._tau_hinv_jacobi_oval(a, binv, rho_ja, rho_jb, lg),
+        bounds._tau_hinv_deficit_oval(a, binv, tau_a, scaling, lg),
     )
     return oracle, ladder, {**ctx, "scaling": scaling}
 
 
-def _hinv_checks(mats, oracle, ladder, ctx):
+def _hinv_checks(mats, exponents, oracle, ladder, ctx, lg):
     """M-matrix closure of the product, and the inverse-entry caps on the
     dominance-scaled denominator, whose inverse is D⁻¹ B⁻¹ D."""
     scaling = ctx["scaling"]
-    caps = bounds.inverse_column_caps(scaling.scaled, scaling.chain)
-    sinv = scale_similarity(ctx["binv"], scaling.d)
+    sinv = _scale_similarity(ctx["binv"], scaling.d)
     # sinv[j, i] <= caps[j, i] * sinv[i, i]; the unit diagonal of caps
     # makes i == j hold trivially
-    over = sinv > caps * np.diag(sinv)[None, :] + CAP_TOL
-    return [("product_is_m_matrix", bool(_lu.m_factor(ctx["prod"][None])[1][0])),
-            ("inverse_entry_caps", not over.any())], None, None
+    over = sinv > scaling.caps * _diag(sinv)[:, None, :] + CAP_TOL
+    return [("product_is_m_matrix", _lu.m_factor(ctx["prod"])[1], None),
+            ("inverse_entry_caps", ~over.any(axis=(1, 2)), None)], None, None
 
 
 def _multi_fan_problems(mats, exponents, todo):
     for mk, pk in zip(mats, exponents.p):
-        todo.append(("tau", fan_power(mk, pk)))
+        todo.append(("tau", _fan_power(mk, pk)))
     acc = mats[0]
     for mk in mats[1:]:
-        acc = fan_product(acc, mk)
+        acc = _fan_product(acc, mk)
     todo.append(("tau", acc))
-    return {"p": exponents.p}
+    return {}
 
 
-def _multi_fan_ladder(mats, variant, exponents, values, ctx):
-    *taus_pow, oracle = values
-    ladder = (bounds.tau_multi_fan(mats, exponents, taus_pow),)
+def _multi_fan_ladder(mats, exponents, values, ctx, lg):
+    taus_pow, oracle = values[:, :-1], values[:, -1]
+    ladder = (bounds._tau_multi_fan(mats, exponents, taus_pow, lg),)
     return oracle, ladder, {**ctx, "taus_pow": taus_pow}
 
 
@@ -538,24 +602,33 @@ def _multi_fan_check_problems(mats, exponents):
             else [])
 
 
-def _multi_fan_checks(mats, oracle, ladder, ctx):
+def _multi_fan_checks(mats, exponents, oracle, ladder, ctx, lg):
     """Reduction identities: a single exponent (1,) returns tau of the
     matrix itself, exponents (1,1) reproduce the affine two-matrix bound to
     1e-12.  fan_power(A, 1) is an exact copy of A, so tau of the first
     powers is tau of the factors.  At (2,2) the chain bound must clear
     τ(A)·τ(B), with both τ from ctx["checked"]."""
-    br = ladder[0]
-    p, taus = ctx["p"], ctx["taus_pow"]
+    value = ladder[0].values
+    p, taus = exponents.p, ctx["taus_pow"]
     checks = []
     if p == (1,):
-        checks.append(("identity_single", abs(br.value - taus[0]) <= 1e-12))
+        checks.append(("identity_single", np.abs(value - taus[:, 0]) <= 1e-12,
+                       None))
     if p == (1, 1):
-        affine = bounds.tau_bound_affine(mats[0], mats[1], taus[0], taus[1])
-        checks.append(("identity_affine", abs(br.value - affine.value) <= 1e-12))
+        affine = bounds._tau_affine(mats[0], mats[1], taus[:, 0], taus[:, 1],
+                                     lg)
+        checks.append(("identity_affine",
+                       np.abs(value - affine.values) <= 1e-12, None))
     if p == (2, 2):
-        tau_a, tau_b = (unwrap(r).value for r in ctx["checked"])
+        ab = np.ones((len(value), 2))
+        for t, rs in enumerate(ctx["checked"]):
+            failed = [r for r in rs if isinstance(r, Exception)]
+            if failed:
+                lg.fail(t, failed[0])
+            else:
+                ab[t] = [r.value for r in rs]
         checks.append(("chain_over_product",
-                       br.value >= tau_a * tau_b - VIOLATION_TOL))
+                       value >= ab[:, 0] * ab[:, 1] - VIOLATION_TOL, None))
     return checks, None, None
 
 
@@ -584,14 +657,14 @@ def run_suite(family: Family, trials: int, spec: GeneratorSpec,
               order_min: Optional[int] = None,
               order_max: Optional[int] = None,
               with_examples: bool = False,
-              variant: str = "proof",
               exponents: Optional[bounds.HolderExponents] = None,
               tol: float = VIOLATION_TOL):
     """Seeded trials of one family: every rung that ``Family.violates`` at
     tol is flagged, and every failed structural check is flagged by name.
     Products take m = len(exponents) factors, or a pair when exponents is
     None; with_examples makes trial 0 the worked factors, checked against
-    GOLDEN when m = 2."""
+    GOLDEN when m = 2.  The generated factors are finite float64 by
+    construction, so they enter without ``as_matrix``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     m = 2 if exponents is None else len(exponents.p)
@@ -615,12 +688,16 @@ def run_suite(family: Family, trials: int, spec: GeneratorSpec,
     good = [t for t, mats in enumerate(made) if not isinstance(mats, Exception)]
     solved = dict(zip(good, family.solve([made[t] for t in good], exponents,
                                          checked=True)))
+    # a one-at-a-time evaluation stops at the first trial that fails to
+    # generate or to solve; the trials before it are assessed as stacks
+    stop = next((t for t in range(trials) if isinstance(made[t], Exception)
+                 or isinstance(solved[t], Exception)), trials)
+    assessed = family.assess(made[:stop], [solved[t] for t in range(stop)],
+                             exponents)
     reports = []
-    for t in range(trials):
-        mats = unwrap(made[t])
-        values, ctx = unwrap(solved[t])
-        oracle, ladder, ctx = family.ladder(mats, variant, exponents, values, ctx)
-        checks, hyp, dom = family.checks(mats, oracle, ladder, ctx)
+    for t, (lg, i, oracle, ladder, checks, hyp, dom) in enumerate(assessed):
+        lg.flush(i)
+        mats = made[t]
         if with_examples and t == 0 and m == 2:
             checks.extend(_golden_checks(family.golden, oracle, ladder))
         violations = tuple(br.name for br in ladder
@@ -633,6 +710,9 @@ def run_suite(family: Family, trials: int, spec: GeneratorSpec,
             violations=violations, checks=tuple(checks),
             dominance_hypothesis=hyp, dominance_holds=dom,
         ))
+    if stop < trials:
+        unwrap(made[stop])
+        unwrap(solved[stop])
     return reports
 
 

@@ -1,10 +1,11 @@
 """End-to-end reproduction and bulk-validity gates.
 
-Three circulated reference figures disagree with what the documented
+Four circulated reference figures disagree with what the documented
 formulas give on the shipped fixtures (see README, "reference-value
 discrepancies"): the fan-product oracle 0.8819 (computed: 0.9377...) and
-the 0.0707 / 0.1524 rungs of the inverse-product ladder (computed:
-0.0481... / 0.1457...).  The three ``*_circulated_value`` tests recompute
+the 0.0707 / 0.1524 / 0.1929 rungs of the inverse-product ladder
+(computed: 0.0481... / 0.1457... / 0.1761...).  The four
+``*_circulated_value`` tests recompute
 each quantity with numpy alone, straight from the fixture files and the
 formula in the rung's docstring, and check that the CLI value and the
 harness golden pin both match it.  They also check that the circulated
@@ -79,6 +80,87 @@ def numpy_jacobi_oval(a, beta, rho_ja, rho_jb):
                for i in range(n) for j in range(n) if i != j)
 
 
+def numpy_tau(m):
+    return float(np.min(np.linalg.eigvals(m).real))
+
+
+def numpy_lower_oval(x, u, v):
+    # min over ordered pairs i != j of
+    # (x_i + x_j - sqrt((x_i - x_j)^2 + 4 u_i v_j)) / 2
+    n = len(x)
+    return min(0.5 * (x[i] + x[j] - np.sqrt((x[i] - x[j]) ** 2
+                                            + 4.0 * u[i] * v[j]))
+               for i in range(n) for j in range(n) if i != j)
+
+
+def numpy_row_chain(b):
+    # r_i = max_{l != i} |b_li| / (b_ll - sum_{k != l,i} |b_lk|), for a
+    # strictly row dominant M-matrix b, and its off-diagonal magnitudes
+    off = np.abs(b)
+    np.fill_diagonal(off, 0.0)
+    n = len(b)
+    r = [max(off[l, i] / (b[l, l] - (off[l].sum() - off[l, i]))
+             for l in range(n) if l != i) for i in range(n)]
+    return off, np.array(r)
+
+
+def numpy_chain_radii(b):
+    # s_i = max_{j != i} (|b_ji| + sum_{k != j,i} |b_jk| r_k) / b_jj
+    off, r = numpy_row_chain(b)
+    n = len(b)
+    return np.array([max((off[j, i] + sum(off[j, k] * r[k] for k in range(n)
+                                           if k not in (i, j))) / b[j, j]
+                         for j in range(n) if j != i) for i in range(n)])
+
+
+def numpy_cap_radii(b):
+    # s_i = max_{j != i} (|b_ji| + r_i sum_{k != j,i} |b_jk|) / b_jj
+    off, r = numpy_row_chain(b)
+    n = len(b)
+    return np.array([max((off[j, i] + r[i] * (off[j].sum() - off[j, i]))
+                         / b[j, j] for j in range(n) if j != i)
+                     for i in range(n)])
+
+
+def numpy_deficit_oval(a, b, radii):
+    # radicand 4 s_i s_j beta_ii beta_jj (a_ii - tau(A))(a_jj - tau(A)),
+    # beta = diag(B^-1), for a strictly row dominant B (no scaling)
+    beta = np.diag(np.linalg.inv(b))
+    u = radii(b) * beta * (np.diag(a) - numpy_tau(a))
+    return numpy_lower_oval(np.diag(a) * beta, u, u)
+
+
+def numpy_statement_oval(a, b):
+    beta = np.diag(np.linalg.inv(b))
+    off = np.abs(a)
+    np.fill_diagonal(off, 0.0)
+    s = off.max(axis=1)
+    return numpy_lower_oval(np.diag(a) * beta,
+                            s * beta * (np.diag(a) - numpy_tau(a)),
+                            s * beta * (np.diag(b) - numpy_tau(b)))
+
+
+# trial 0 of `verify hadamard-inverse --seed 100664826` (orders 2-8,
+# density 1, margin 0.5); B is strictly row dominant
+SPEC_SEED_100664826_A = np.array([
+    [1.4173743314685707, -0.17691794701861585, -0.9916184660131538],
+    [-0.15738887106275667, 1.8301495606045273, -0.0022416256654770317],
+    [-0.6749128503083581, -0.08122626211878758, 1.5252810252116287]])
+SPEC_SEED_100664826_B = np.array([
+    [1.4296878455411521, -0.1660107178622866, -0.5221924581792596],
+    [-0.5028818394321328, 1.6308252499331273, -0.3504370873644429],
+    [-0.936176137407584, -0.09289518118276852, 1.7408296719204484]])
+# trial 0 of a seed-3 suite at order 3, density 1, margin 0.01
+STATEMENT_CE_A = np.array([
+    [1.1896960099305112, -0.2368105065960997, -0.8012744652063969],
+    [-0.5821620360643678, 1.1812165348337365, -0.4331269402364738],
+    [-0.479051298140834, -0.15973891463707857, 0.540768025664921]])
+STATEMENT_CE_B = np.array([
+    [1.4597442241327454, -0.39122819049566204, -0.5167401826213637],
+    [-0.4306280204141778, 0.9866176726160081, -0.7378377872921602],
+    [-0.9562672548360985, -0.28420116374879145, 0.9248690369743238]])
+
+
 def assert_recorded_discrepancy(family, name, computed, circulated):
     pinned, kind = GOLDEN[family][name]
     assert pinned == pytest.approx(computed, rel=REL)
@@ -137,22 +219,41 @@ def test_reference_hinv_ladder():
     assert rows["oracle"] == pytest.approx(0.2148, abs=5e-4)
     assert rows["tau_hinv_diag_floor"] == pytest.approx(0.07, abs=5e-3)
     assert rows["tau_hinv_chain"] == pytest.approx(0.08, abs=5e-3)
-    assert rows["tau_hinv_deficit_oval"] == pytest.approx(0.1929, abs=5e-3)
+    assert rows["tau_hinv_deficit_oval"] == pytest.approx(0.17611, abs=5e-3)
     assert elapsed < 1.0
 
 
+def test_reference_hinv_deficit_oval_circulated_value():
+    # the deficit oval with the column-cap radii; the circulated 0.1929 is
+    # the same oval with the per-k chain radii, which do not cap B^-1: on
+    # a generated pair they put the rung above tau(A o B^-1)
+    a, b = load("ex41_a.txt"), load("ex41_b.txt")
+    expected = numpy_deficit_oval(a, b, numpy_cap_radii)
+    rows, _ = bound_rows("hadamard-inverse", ["ex41_a.txt", "ex41_b.txt"])
+    assert rows["tau_hinv_deficit_oval"] == pytest.approx(expected, rel=REL)
+    assert_recorded_discrepancy("hinv", "tau_hinv_deficit_oval", expected,
+                                0.1929)
+    assert numpy_deficit_oval(a, b, numpy_chain_radii) == pytest.approx(
+        0.1929, abs=5e-5)
+    tau = numpy_tau(SPEC_SEED_100664826_A * np.linalg.inv(SPEC_SEED_100664826_B))
+    assert tau == pytest.approx(0.8962283143925667, rel=REL)
+    assert numpy_deficit_oval(SPEC_SEED_100664826_A, SPEC_SEED_100664826_B,
+                              numpy_chain_radii) > tau + 1e-3
+    assert numpy_deficit_oval(SPEC_SEED_100664826_A, SPEC_SEED_100664826_B,
+                              numpy_cap_radii) < tau
+
+
 def test_reference_hinv_variant_recorded():
-    # the deficit-oval rung must say which variant reproduces 0.1929
-    res = CliRunner().invoke(main, ["bounds", "hadamard-inverse",
-                                    fixture("ex41_a.txt"),
-                                    fixture("ex41_b.txt")])
-    assert res.exit_code == 0
-    line = [l for l in res.output.splitlines() if l.startswith("variant:")][0]
-    assert "proof" in line.split()[1]
-    proof = float(line.split("proof=")[1].split()[0])
-    statement = float(line.split("statement=")[1].rstrip(")"))
-    assert proof == pytest.approx(0.1929, abs=5e-3)
-    assert statement != pytest.approx(0.1929, abs=5e-3)
+    # the deleted "statement" variant of the deficit oval: radicand
+    # 4 s_i s_j beta_ii beta_jj (a_ii - tau(A))(b_jj - tau(B)) with s the
+    # off-diagonal row maxima of A.  It is far from 0.1929 on the worked
+    # pair, and far above tau(A o B^-1) on a generated pair, so no bound
+    a, b = load("ex41_a.txt"), load("ex41_b.txt")
+    statement = numpy_statement_oval(a, b)
+    assert statement == pytest.approx(0.038465817293569515, rel=REL)
+    assert abs(statement - 0.1929) > GOLDEN_TOL_CHAIN
+    a, b = STATEMENT_CE_A, STATEMENT_CE_B
+    assert numpy_statement_oval(a, b) > numpy_tau(a * np.linalg.inv(b)) + 1.0
 
 
 def test_reference_hinv_jacobi_ratio_circulated_value():

@@ -231,21 +231,18 @@ def test_hinv_ladder_reference_values(hinv_pair):
 
 
 def test_hinv_deficit_oval_variants(hinv_pair):
+    # one variant is left: the radii are the column maxima of the inverse
+    # caps, not the per-k chain s, which does not cap B^-1
     a, b = hinv_pair
     binv = inverse(b)
     scaling = B.dominance_scaling(b, binv)
-    br = B.tau_hinv_deficit_oval(a, b, binv, TAU_HINV_A, TAU_HINV_B, scaling)
-    assert br.components["variant"] == "proof"
-    assert br.value == pytest.approx(0.19287140768127858, abs=1e-9)
-    assert br.components["statement_value"] == pytest.approx(
-        0.038465817293569515, abs=1e-9)
-    alt = B.tau_hinv_deficit_oval(a, b, binv, TAU_HINV_A, TAU_HINV_B, scaling,
-                                  variant="statement")
-    assert alt.value == pytest.approx(0.038465817293569515, abs=1e-9)
-    assert alt.components["proof_value"] == pytest.approx(br.value, abs=1e-12)
-    with pytest.raises(ValueError):
-        B.tau_hinv_deficit_oval(a, b, binv, TAU_HINV_A, TAU_HINV_B, scaling,
-                                variant="nope")
+    br = B.tau_hinv_deficit_oval(a, b, binv, TAU_HINV_A, scaling)
+    assert br.value == pytest.approx(0.17610873206162017, abs=1e-9)
+    caps = B.inverse_column_caps(b)
+    np.fill_diagonal(caps, 0.0)
+    assert br.components["s"] == tuple(caps.max(axis=0))
+    assert not np.allclose(br.components["s"], scaling.chain.s)
+    assert "variant" not in br.components
 
 
 def test_hinv_ladder_validity_random():
@@ -262,7 +259,7 @@ def test_hinv_ladder_validity_random():
                    B.tau_hinv_jacobi_ratio(a, b, rja, rjb),
                    B.tau_hinv_chain(a, b, scaling),
                    B.tau_hinv_jacobi_oval(a, b, binv, rja, rjb),
-                   B.tau_hinv_deficit_oval(a, b, binv, ta, tb, scaling)):
+                   B.tau_hinv_deficit_oval(a, b, binv, ta, scaling)):
             assert br.value <= oracle + 1e-8, br.name
 
 
@@ -289,10 +286,11 @@ def test_oval_matches_the_pair_loop():
         x, u, v = rng.uniform(0.0, 2.0, (3, n))
         for uv in ((u, v), (u, u)):
             for upper in (True, False):
-                value, arg = B._oval(x, *uv, upper)
+                values, pairs = B._oval(x[None], uv[0][None], uv[1][None],
+                                        upper, B._Log(1))
                 ref, ref_arg = _oval_loop(x, *uv, upper)
-                assert value == pytest.approx(ref, rel=0.0, abs=1e-14)
-                assert arg == ref_arg
+                assert values[0] == pytest.approx(ref, rel=0.0, abs=1e-14)
+                assert tuple(pairs[0]) == ref_arg
 
 
 def test_oval_ties_keep_the_first_row_major_pair():
@@ -327,8 +325,8 @@ def test_ladder_scale_covariant(family, n, seed, s):
     a, b = gen(rng, n), gen(rng, n)
     evaluate = FAMILIES[family].evaluate
     p22 = B.HolderExponents((2, 2)) if family == "multi-fan" else None
-    _, base, _ = evaluate([a, b], "proof", p22)
-    _, scaled, _ = evaluate([s * a, s * b], "proof", p22)
+    _, base = evaluate([a, b], p22)
+    _, scaled = evaluate([s * a, s * b], p22)
     band = 0.0
     if family == "hadamard-inverse":
         k, ref = 1.0, np.max(np.diag(a) * np.diag(inverse(b)))
@@ -409,8 +407,24 @@ def test_multi_fan_clamp_is_scale_free(fan_pair, caplog):
     a = np.array([[2.3e101, -1e100], [0.0, 1e103]])
     b = np.array([[7e100, 0.0], [-1e100, 9e100]])
     with caplog.at_level("WARNING", logger="mbound.bounds"):
-        FAMILIES["multi-fan"].evaluate([a, b], "proof", p11)
+        FAMILIES["multi-fan"].evaluate([a, b], p11)
     assert not caplog.records
+
+
+def test_multi_fan_logs_nothing_after_its_error(fan_pair, caplog):
+    # factor 0's bracket fails first, so factor 1's clamp is never logged
+    a, b = fan_pair
+    p11 = B.HolderExponents((1, 1))
+    edge = float(np.min(np.diag(b))) * (1.0 + 5e-9)
+    with caplog.at_level("WARNING", logger="mbound.bounds"):
+        with pytest.raises(ValueError, match="negative Perron deficit"):
+            B.tau_multi_fan([a, b], p11, [2.0 * np.max(np.diag(a)), edge])
+    assert not caplog.records
+    with caplog.at_level("WARNING", logger="mbound.bounds"):
+        B.tau_multi_fan([a, b], p11, [TAU_FAN_A, edge])
+    assert len(caplog.records) == 1
+    assert caplog.records[0].getMessage().startswith(
+        "clamping negative deficit -")
 
 
 def test_multi_fan_argument_mismatch(fan_pair):

@@ -238,11 +238,16 @@ def test_bounds_fan_identity_pair(runner, tmp_path):
 
 
 def test_bounds_hinv_records_variants(runner):
-    res = runner.invoke(main, ["bounds", "hadamard-inverse",
-                               fixture("ex41_a.txt"), fixture("ex41_b.txt")])
+    # the deficit oval has one form: no variant footer and no --variant
+    args = ["bounds", "hadamard-inverse", fixture("ex41_a.txt"),
+            fixture("ex41_b.txt")]
+    res = runner.invoke(main, args)
     assert res.exit_code == 0
-    assert "variant: proof" in res.output
-    assert "statement=" in res.output
+    assert "variant" not in res.output
+    assert "tau_hinv_deficit_oval  lower      0.176108732062" in res.output
+    res = runner.invoke(main, args + ["--variant", "proof"])
+    assert res.exit_code == 2
+    assert "No such option '--variant'" in res.output
 
 
 def test_bounds_hinv_large_scale_pair_exits_0(runner, tmp_path):

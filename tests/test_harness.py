@@ -1,6 +1,10 @@
 """Generator determinism, trial independence, and suite bookkeeping."""
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbound import harness
 from mbound.bounds import HolderExponents
@@ -10,6 +14,7 @@ from mbound.harness import (GeneratorSpec, GOLDEN, gen_m_matrix,
                             gen_nonnegative, lemma_product_m_matrix,
                             run_fan_suite, run_hadamard_suite, run_hinv_suite,
                             run_multi_fan_suite)
+from conftest import random_m_matrix, random_nonnegative
 
 
 def test_spec_validation():
@@ -162,6 +167,18 @@ def test_golden_injection_hadamard():
     assert not any(n.startswith("golden:") for n, _ in reports[1].checks)
 
 
+def test_hinv_deficit_oval_below_tau_at_spec_seed_100664826():
+    # trial 0 (n = 3): radii from the per-k chain put this rung at 0.9006,
+    # above tau = 0.8962; the column-cap radii give 0.8854
+    spec = GeneratorSpec(kind="m_matrix", order=2, density=1.0,
+                         seed=100664826, diagonal_margin=0.5)
+    rep = run_hinv_suite(8, spec, order_min=2, order_max=8)[0]
+    assert rep.oracle == pytest.approx(0.8962283143925667, rel=1e-12)
+    rung = {br.name: br.value for br in rep.bounds}["tau_hinv_deficit_oval"]
+    assert rung == pytest.approx(0.8854120219710608, rel=1e-12)
+    assert rep.violations == ()
+
+
 def test_golden_injection_hinv():
     spec = GeneratorSpec(kind="m_matrix", order=2, density=1.0, seed=0)
     reports = run_hinv_suite(1, spec, with_examples=True)
@@ -210,3 +227,92 @@ def test_suite_inputs_rebuild_one_matrix_at_a_time(family, order_min,
         mats = [gen(spec, rng=rng, order=n) for _ in range(2)]
         assert (rep.trial, rep.order) == (t, n)
         assert rep.digests == tuple(harness._digest(a) for a in mats)
+
+
+class _Lines(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
+def _replay(assessed):
+    """Per trial: repr of what it reports, or of its error, and the lines
+    it logs, replayed in trial order."""
+    handler = _Lines()
+    logger = logging.getLogger("mbound.bounds")
+    logger.addHandler(handler)
+    out = []
+    try:
+        for lg, i, *report in assessed:
+            del handler.lines[:]
+            try:
+                lg.flush(i)
+                outcome = repr(report)
+            except Exception as exc:  # the trial's own error
+                outcome = repr((type(exc), str(exc)))
+            out.append((outcome, list(handler.lines)))
+    finally:
+        logger.removeHandler(handler)
+    return out
+
+
+@pytest.mark.parametrize("family", list(harness.FAMILIES))
+@given(data=st.data(), seed=st.integers(0, 10 ** 6),
+       density=st.sampled_from([1.0, 0.3]))
+@settings(max_examples=30, deadline=None)
+def test_stacked_ladder_and_checks_match_stacks_of_one(family, data, seed,
+                                                       density):
+    # The ladder and checks of T trials, stacked per order, report what T
+    # stacks of one report: values, components, checks, dominance flags,
+    # error class and message, and the clamp lines in trial order.  Some
+    # solved values are moved off their oracle, or just past a diagonal
+    # entry, so that ovals and multi-Fan brackets clamp or fail.  Some hinv
+    # trials get the identity for B^-1: d = 1 then leaves a B that is not
+    # row dominant unscaled, and its row chain raises.
+    fam = harness.FAMILIES[family]
+    exponents = None
+    if family == "multi-fan":
+        exponents = HolderExponents(data.draw(st.sampled_from(
+            [(2, 2), (1, 1), (1,), (2, 3, 6)])))
+    m = 2 if exponents is None else len(exponents.p)
+    pool = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    orders = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                max_size=8))
+    rng = np.random.default_rng(seed)
+    trials = []
+    for n in orders:
+        # trials of several scales share a stack
+        scale = data.draw(st.sampled_from([1.0, 1e4]))
+        if fam.kind == "nonnegative":
+            trials.append([scale * random_nonnegative(rng, n, density)
+                           for _ in range(m)])
+        else:
+            margin = data.draw(st.sampled_from([0.5, 0.01]))
+            trials.append([scale * random_m_matrix(rng, n, margin, density)
+                           for _ in range(m)])
+    solved = fam.solve(trials, exponents, checked=True)
+    kept = [t for t, r in enumerate(solved) if not isinstance(r, Exception)]
+    trials = [trials[t] for t in kept]
+    solved = [solved[t] for t in kept]
+    p = (1,) * m if exponents is None else exponents.p
+    for t, (values, ctx) in enumerate(solved):
+        shift = data.draw(st.sampled_from([1.0, 1.0, 0.5, 2.0, "edge"]))
+        if shift == "edge":
+            # just past the extreme diagonal entry (power) of each factor:
+            # a clamp on the scale of the trial, not an error
+            edge = [float(np.min(np.diag(mk) ** pk)) * (1.0 + 5e-9) if fam.lower
+                    else float(np.max(np.diag(mk))) * (1.0 - 5e-9)
+                    for mk, pk in zip(trials[t], p)]
+            values = edge + values[m:]
+        else:
+            values = [v * shift for v in values[:-1]] + values[-1:]
+        if family == "hadamard-inverse" and data.draw(st.booleans()):
+            ctx = {**ctx, "binv": np.eye(len(trials[t][0]))}
+        solved[t] = (values, ctx)
+    stacked = _replay(fam.assess(trials, solved, exponents))
+    alone = [_replay(fam.assess([mats], [r], exponents))[0]
+             for mats, r in zip(trials, solved)]
+    assert stacked == alone
