@@ -13,15 +13,7 @@ from .errors import (ClassMismatchError, ConvergenceError, MatrixFormatError,
                      MboundError, SingularMatrixError)
 from .spectral import (SpectralResult, inverse, jacobi_radius,
                        rho_nonnegative, tau_m_matrix)
-from .bounds import (AuxChain, BoundResult, DominanceScaling, HolderExponents,
-                     aux_chain, cassini_contains, dominance_scaling,
-                     inverse_column_caps, rho_bound_affine,
-                     rho_bound_oval_deficit, rho_bound_oval_rowmax,
-                     rho_bound_product, tau_bound_affine,
-                     tau_bound_oval_deficit, tau_bound_oval_rowmax,
-                     tau_bound_product, tau_hinv_chain, tau_hinv_deficit_oval,
-                     tau_hinv_diag_floor, tau_hinv_jacobi_oval,
-                     tau_hinv_jacobi_ratio, tau_multi_fan)
+from .bounds import BoundResult, HolderExponents
 from .harness import (FAMILIES, Family, GeneratorSpec, TrialReport,
                       gen_m_matrix, gen_nonnegative, lemma_product_m_matrix,
                       run_fan_suite, run_hadamard_suite, run_hinv_suite,
@@ -42,14 +34,7 @@ __all__ = [
     "SpectralResult", "rho_nonnegative", "tau_m_matrix",
     "jacobi_radius", "inverse",
     # bounds
-    "BoundResult", "AuxChain", "DominanceScaling", "HolderExponents",
-    "aux_chain", "dominance_scaling", "inverse_column_caps",
-    "rho_bound_product", "rho_bound_affine", "rho_bound_oval_deficit",
-    "rho_bound_oval_rowmax", "tau_bound_product", "tau_bound_affine",
-    "tau_bound_oval_deficit", "tau_bound_oval_rowmax",
-    "tau_hinv_diag_floor", "tau_hinv_jacobi_ratio", "tau_hinv_chain",
-    "tau_hinv_jacobi_oval", "tau_hinv_deficit_oval", "tau_multi_fan",
-    "cassini_contains",
+    "BoundResult", "HolderExponents",
     # harness
     "GeneratorSpec", "TrialReport", "gen_nonnegative", "gen_m_matrix",
     "lemma_product_m_matrix", "Family", "FAMILIES", "run_suite",

@@ -1,7 +1,7 @@
 """Every bound formula: upper bounds on rho of a Hadamard product of
 nonnegative matrices, lower bounds on tau of Fan products and of A∘B⁻¹ for
-M-matrices, the multi-matrix Hölder-exponent bound, the auxiliary row-chain
-quantities, and ovals-of-Cassini membership.
+M-matrices, the multi-matrix Hölder-exponent bound, and the auxiliary
+row-chain quantities.
 
 Bound naming scheme (also the ``BoundResult.name`` strings):
 
@@ -26,11 +26,10 @@ Each rung has one kernel, ``_<rung>``, which evaluates it over a stack of
 T pairs of one order: factors are (T, n, n) arrays, spectral values are
 (T,) arrays, the stack's ``_Log`` comes last, and the result is a
 ``_Rungs`` (a value and the components per slice).  The kernels take
-arrays that are already checked.  A public function validates its inputs
-(``as_matrix``/``_pair``), evaluates a stack of one (``_one``) and returns
-its ``BoundResult``.  Every operation is
-elementwise or a reduction within a slice, so a slice gets the same bits
-in any stack.
+arrays that are already checked; the way into a ladder is
+``harness.FAMILIES[name].evaluate`` for one tuple of factors, and
+``harness.run_suite`` for a suite.  Every operation is elementwise or a
+reduction within a slice, so a slice gets the same bits in any stack.
 
 Every oval rung is one pairwise form (``_oval``) whose radicand factors as
 4·u_i·v_j, with u and v one entry per index; the scan runs over ordered
@@ -53,38 +52,14 @@ evaluation logs and raises what a one-at-a-time evaluation would.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import _offdiag_abs, _pair, _scale_similarity, as_matrix, classify
+from .core import _offdiag_abs, _scale_similarity, classify
 
-__all__ = [
-    "BoundResult",
-    "AuxChain",
-    "DominanceScaling",
-    "HolderExponents",
-    "aux_chain",
-    "dominance_scaling",
-    "inverse_column_caps",
-    "rho_bound_product",
-    "rho_bound_affine",
-    "rho_bound_oval_deficit",
-    "rho_bound_oval_rowmax",
-    "tau_bound_product",
-    "tau_bound_affine",
-    "tau_bound_oval_deficit",
-    "tau_bound_oval_rowmax",
-    "tau_hinv_diag_floor",
-    "tau_hinv_jacobi_ratio",
-    "tau_hinv_chain",
-    "tau_hinv_jacobi_oval",
-    "tau_hinv_deficit_oval",
-    "tau_multi_fan",
-    "cassini_contains",
-]
+__all__ = ["BoundResult", "HolderExponents"]
 
 log = logging.getLogger("mbound.bounds")
 
@@ -134,12 +109,6 @@ def _clamp_nonneg(w: np.ndarray, scale: np.ndarray, lg: _Log) -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
-def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x·y of two (T,) columns, as products of Python floats: an overflow
-    gives inf without a warning."""
-    return np.array([p * q for p, q in zip(x.tolist(), y.tolist())])
-
-
 @dataclass(frozen=True)
 class BoundResult:
     """One evaluated bound: ``direction`` is "upper" or "lower"; components
@@ -178,20 +147,6 @@ class _Rungs:
                 for value, row in zip(self.values.tolist(), zip(*cols))]
 
 
-def _one(kernel, *args) -> BoundResult:
-    """A rung kernel on a stack of one: its BoundResult, after its clamp
-    warnings and its error."""
-    lg = _Log(1)
-    rungs = kernel(*args, lg)
-    lg.flush(0)
-    return rungs.records()[0]
-
-
-def _col(x) -> np.ndarray:
-    """A scalar as a (1,) column of a stack of one."""
-    return np.array([x], dtype=np.float64)
-
-
 def _diag(a: np.ndarray) -> np.ndarray:
     return a.diagonal(0, -2, -1)
 
@@ -203,58 +158,21 @@ def _pick(vals: np.ndarray, upper: bool):
 
 
 @dataclass(frozen=True)
-class AuxChain:
-    """Row-chain quantities of one matrix (or, inside the kernels, of each
-    slice of a stack, with a leading T axis on every field).
-
-    r_pair[l, i] = |a_li| / (|a_ll| − Σ_{k≠l,i} |a_lk|)   (l ≠ i)
-    r[i]         = max_{l≠i} r_pair[l, i]
-    s_pair[j, i] = (|a_ji| + Σ_{k≠j,i} |a_jk|·r[k]) / |a_jj|
-    s[i]         = max_{j≠i} s_pair[j, i]
-
-    Defined only when every denominator is positive (guaranteed for
-    strictly row diagonally dominant matrices).  No rung reads s: the
-    per-k chain does not cap the inverse (``inverse_column_caps``).
-    """
-
-    r_pair: np.ndarray
-    r: np.ndarray
-    s_pair: np.ndarray
-    s: np.ndarray
-
-
-@dataclass(frozen=True)
 class DominanceScaling:
-    """D⁻¹ B D made strictly row dominant, its row chain, and the caps on
-    its inverse (``inverse_column_caps``).
+    """Per slice, the vector d that makes B̃ = D⁻¹ B D strictly row
+    dominant, the chain table s_pair of B̃ (``_aux_chain``) and the caps on
+    B̃⁻¹ (``_caps``).
 
     d = B⁻¹ · 1 keeps the diagonal and, for M-matrices, guarantees strict
-    dominance of D⁻¹ B D; when B is already dominant, d = 1 and
-    ``applied`` is False.  One scaling serves every hinv rung that needs it
-    and the harness's inverse-cap check.
+    dominance of B̃; where B is already dominant, d = 1 and ``applied`` is
+    False.  One scaling serves every hinv rung that needs it and the
+    harness's inverse-cap check.
     """
 
-    scaled: np.ndarray
     d: np.ndarray
-    applied: bool
-    chain: AuxChain
+    applied: np.ndarray
+    s_pair: np.ndarray
     caps: np.ndarray
-
-
-def _stack_of_one(obj):
-    """A dataclass of one pair's fields as a stack of one."""
-    return type(obj)(*(_stack_of_one(v) if is_dataclass(v) else np.asarray(v)[None]
-                       for v in (getattr(obj, f.name) for f in fields(obj))))
-
-
-def _slice(obj, i: int):
-    """Slice i of a dataclass of stacks; a per-slice flag comes out as a
-    Python bool."""
-    out = []
-    for v in (getattr(obj, f.name) for f in fields(obj)):
-        out.append(_slice(v, i) if is_dataclass(v)
-                   else v[i] if v.ndim > 1 else v[i].item())
-    return type(obj)(*out)
 
 
 def _offdiag_rowmax(a: np.ndarray) -> np.ndarray:
@@ -262,11 +180,18 @@ def _offdiag_rowmax(a: np.ndarray) -> np.ndarray:
     return _offdiag_abs(a).max(axis=-1)
 
 
-def _aux_chain(a: np.ndarray, lg: _Log) -> AuxChain:
-    """The row chain of each slice of a; a slice with a nonpositive r
-    denominator fails at its first row-major pair (l, i) and goes on with
-    unit denominators.  The sum over k != j, i in s_pair is
-    (|A|_off · r)_j − |a_ji| r_i, since |A|_off has a zero diagonal."""
+def _aux_chain(a: np.ndarray, lg: _Log):
+    """(r, s_pair), the row chain of each slice of a:
+
+        r_pair[l, i] = |a_li| / (|a_ll| − Σ_{k≠l,i} |a_lk|)   (l ≠ i)
+        r[i]         = max_{l≠i} r_pair[l, i]
+        s_pair[j, i] = (|a_ji| + Σ_{k≠j,i} |a_jk|·r[k]) / |a_jj|
+
+    Every denominator is positive when a is strictly row dominant.  A
+    slice with a nonpositive r denominator fails at its first row-major
+    pair (l, i) and goes on with unit denominators.  The sum over k != j, i
+    in s_pair is (|A|_off · r)_j − |a_ji| r_i, since |A|_off has a zero
+    diagonal."""
     k, n, _ = a.shape
     idx = np.arange(n)
     off = _offdiag_abs(a)
@@ -286,44 +211,27 @@ def _aux_chain(a: np.ndarray, lg: _Log) -> AuxChain:
     acc = off @ r[:, :, None] - off * r[:, None, :]
     s_pair = np.divide(off + acc, dg[:, :, None], out=np.zeros((k, n, n)),
                        where=~np.eye(n, dtype=bool))
-    return AuxChain(r_pair=r_pair, r=r, s_pair=s_pair, s=s_pair.max(axis=1))
-
-
-def aux_chain(a) -> AuxChain:
-    """The row chain of a; raises ValueError at the first row-major pair
-    (l, i) whose r denominator is nonpositive."""
-    lg = _Log(1)
-    chain = _aux_chain(as_matrix(a)[None], lg)
-    lg.flush(0)
-    return _slice(chain, 0)
+    return r, s_pair
 
 
 def _caps(a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``inverse_column_caps`` of each slice of a, with r its chain's r."""
+    """Entrywise caps on the inverse of each slice of a, a strictly
+    row-dominant M-matrix whose row chain has r: C with
+    inv(a)[j, i] <= C[j, i] * inv(a)[i, i] for all j != i.  The cap fixes
+    the column's r value inside the row sum:
+
+        C[j, i] = (|a_ji| + r[i] * Sum_{k != j,i} |a_jk|) / a_jj
+
+    which, unlike the per-k chained s_pair, survives adversarial patterns
+    (the per-k form undershoots on some dominant matrices).  Diagonal
+    entries are set to 1.
+    """
     n = a.shape[1]
     off = _offdiag_abs(a)
     caps = off + r[:, None, :] * (off.sum(axis=2)[:, :, None] - off)
     return np.divide(caps, np.abs(_diag(a))[:, :, None],
                      out=np.broadcast_to(np.eye(n), caps.shape).copy(),
                      where=~np.eye(n, dtype=bool))
-
-
-def inverse_column_caps(a, chain: Optional[AuxChain] = None) -> np.ndarray:
-    """Entrywise caps on the inverse of a strictly row-dominant M-matrix.
-
-    Returns C with inv(a)[j, i] <= C[j, i] * inv(a)[i, i] for all j != i.
-    The cap fixes the column's r value inside the row sum:
-
-        C[j, i] = (|a_ji| + r[i] * Sum_{k != j,i} |a_jk|) / a_jj
-
-    which, unlike the per-k chained form, survives adversarial patterns
-    (the per-k form undershoots on some dominant matrices).  Diagonal
-    entries are set to 1.
-    """
-    a = as_matrix(a)
-    if chain is None:
-        chain = aux_chain(a)
-    return _caps(a[None], np.asarray(chain.r)[None])[0]
 
 
 def _oval(x, u, v, upper: bool, lg: _Log):
@@ -355,33 +263,29 @@ def _oval(x, u, v, upper: bool, lg: _Log):
 # ----------------------------------------------------------------------
 
 def _rho_product(rho_a, rho_b, lg: _Log) -> _Rungs:
+    """rho(A)·rho(B)."""
     lg.fail_where((rho_a < 0.0) | (rho_b < 0.0),
                   lambda t: ValueError("spectral radii must be nonnegative"))
-    return _Rungs("rho_product", "upper", _times(rho_a, rho_b),
+    with np.errstate(over="ignore"):
+        value = rho_a * rho_b
+    return _Rungs("rho_product", "upper", value,
                   {"rho_a": rho_a, "rho_b": rho_b})
 
 
-def rho_bound_product(rho_a: float, rho_b: float) -> BoundResult:
-    """rho(A)*rho(B)."""
-    return _one(_rho_product, _col(rho_a), _col(rho_b))
-
-
 def _rho_affine(a, b, rho_a, rho_b, lg: _Log) -> _Rungs:
+    """max_i {2 a_ii b_ii + rho(A)rho(B) − b_ii rho(A) − a_ii rho(B)}."""
     da, db = _diag(a), _diag(b)
     ra, rb = rho_a[:, None], rho_b[:, None]
-    vals = 2.0 * da * db + _times(rho_a, rho_b)[:, None] - db * ra - da * rb
-    value, i = _pick(vals, upper=True)
+    with np.errstate(over="ignore"):
+        rr = ra * rb
+    value, i = _pick(2.0 * da * db + rr - db * ra - da * rb, upper=True)
     return _Rungs("rho_affine", "upper", value,
                   {"rho_a": rho_a, "rho_b": rho_b, "argmax": i})
 
 
-def rho_bound_affine(a, b, rho_a: float, rho_b: float) -> BoundResult:
-    """max_i {2 a_ii b_ii + rho(A)rho(B) − b_ii rho(A) − a_ii rho(B)}."""
-    a, b = _pair(a, b)
-    return _one(_rho_affine, a[None], b[None], _col(rho_a), _col(rho_b))
-
-
 def _rho_oval_deficit(a, b, rho_a, rho_b, lg: _Log) -> _Rungs:
+    """Pairwise oval form whose radicand uses the full spectral deficits
+    (rho(A)−a_ii)(rho(B)−b_ii)(rho(A)−a_jj)(rho(B)−b_jj)."""
     da, db = _diag(a), _diag(b)
     u = (rho_a[:, None] - da) * (rho_b[:, None] - db)
     value, arg = _oval(da * db, u, u, True, lg)
@@ -389,14 +293,9 @@ def _rho_oval_deficit(a, b, rho_a, rho_b, lg: _Log) -> _Rungs:
                   {"rho_a": rho_a, "rho_b": rho_b, "argmax_pair": arg})
 
 
-def rho_bound_oval_deficit(a, b, rho_a: float, rho_b: float) -> BoundResult:
-    """Pairwise oval form whose radicand uses the full spectral deficits
-    (rho(A)−a_ii)(rho(B)−b_ii)(rho(A)−a_jj)(rho(B)−b_jj)."""
-    a, b = _pair(a, b)
-    return _one(_rho_oval_deficit, a[None], b[None], _col(rho_a), _col(rho_b))
-
-
 def _rho_oval_rowmax(a, b, rho_a, rho_b, lg: _Log) -> _Rungs:
+    """Pairwise oval form with off-diagonal row maxima in the radicand:
+    4 t_i s_j (rho(A)−a_ii)(rho(B)−b_jj), s rows of A, t rows of B."""
     s, t = _offdiag_rowmax(a), _offdiag_rowmax(b)
     da, db = _diag(a), _diag(b)
     value, arg = _oval(da * db, t * (rho_a[:, None] - da),
@@ -406,45 +305,33 @@ def _rho_oval_rowmax(a, b, rho_a, rho_b, lg: _Log) -> _Rungs:
                    "s": s, "t": t})
 
 
-def rho_bound_oval_rowmax(a, b, rho_a: float, rho_b: float) -> BoundResult:
-    """Pairwise oval form with off-diagonal row maxima in the radicand:
-    4 t_i s_j (rho(A)−a_ii)(rho(B)−b_jj), s rows of A, t rows of B."""
-    a, b = _pair(a, b)
-    return _one(_rho_oval_rowmax, a[None], b[None], _col(rho_a), _col(rho_b))
-
-
 # ----------------------------------------------------------------------
 # lower bounds on tau of a Fan product of M-matrices
 # ----------------------------------------------------------------------
 
 def _tau_product(tau_a, tau_b, lg: _Log) -> _Rungs:
+    """tau(A)·tau(B)."""
     lg.fail_where((tau_a <= 0.0) | (tau_b <= 0.0),
                   lambda t: ValueError("tau values must be positive"))
-    return _Rungs("tau_product", "lower", _times(tau_a, tau_b),
+    with np.errstate(over="ignore"):
+        value = tau_a * tau_b
+    return _Rungs("tau_product", "lower", value,
                   {"tau_a": tau_a, "tau_b": tau_b})
 
 
-def tau_bound_product(tau_a: float, tau_b: float) -> BoundResult:
-    """tau(A)*tau(B)."""
-    return _one(_tau_product, _col(tau_a), _col(tau_b))
-
-
 def _tau_affine(a, b, tau_a, tau_b, lg: _Log) -> _Rungs:
+    """min_i {b_ii tau(A) + a_ii tau(B) − tau(A)tau(B)}."""
     da, db = _diag(a), _diag(b)
     ta, tb = tau_a[:, None], tau_b[:, None]
-    vals = db * ta + da * tb - _times(tau_a, tau_b)[:, None]
-    value, i = _pick(vals, upper=False)
+    with np.errstate(over="ignore"):
+        tt = ta * tb
+    value, i = _pick(db * ta + da * tb - tt, upper=False)
     return _Rungs("tau_affine", "lower", value,
                   {"tau_a": tau_a, "tau_b": tau_b, "argmin": i})
 
 
-def tau_bound_affine(a, b, tau_a: float, tau_b: float) -> BoundResult:
-    """min_i {b_ii tau(A) + a_ii tau(B) − tau(A)tau(B)}."""
-    a, b = _pair(a, b)
-    return _one(_tau_affine, a[None], b[None], _col(tau_a), _col(tau_b))
-
-
 def _tau_oval_deficit(a, b, tau_a, tau_b, lg: _Log) -> _Rungs:
+    """Pairwise oval with full tau deficits in the radicand."""
     da, db = _diag(a), _diag(b)
     u = (da - tau_a[:, None]) * (db - tau_b[:, None])
     value, arg = _oval(da * db, u, u, False, lg)
@@ -452,13 +339,8 @@ def _tau_oval_deficit(a, b, tau_a, tau_b, lg: _Log) -> _Rungs:
                   {"tau_a": tau_a, "tau_b": tau_b, "argmin_pair": arg})
 
 
-def tau_bound_oval_deficit(a, b, tau_a: float, tau_b: float) -> BoundResult:
-    """Pairwise oval with full tau deficits in the radicand."""
-    a, b = _pair(a, b)
-    return _one(_tau_oval_deficit, a[None], b[None], _col(tau_a), _col(tau_b))
-
-
 def _tau_oval_rowmax(a, b, tau_a, tau_b, lg: _Log) -> _Rungs:
+    """Pairwise oval with 4 t_i s_j (a_ii−tau(A))(b_jj−tau(B)) radicand."""
     s, t = _offdiag_rowmax(a), _offdiag_rowmax(b)
     da, db = _diag(a), _diag(b)
     value, arg = _oval(da * db, t * (da - tau_a[:, None]),
@@ -468,29 +350,23 @@ def _tau_oval_rowmax(a, b, tau_a, tau_b, lg: _Log) -> _Rungs:
                    "s": s, "t": t})
 
 
-def tau_bound_oval_rowmax(a, b, tau_a: float, tau_b: float) -> BoundResult:
-    """Pairwise oval with 4 t_i s_j (a_ii−tau(A))(b_jj−tau(B)) radicand."""
-    a, b = _pair(a, b)
-    return _one(_tau_oval_rowmax, a[None], b[None], _col(tau_a), _col(tau_b))
-
-
 # ----------------------------------------------------------------------
 # lower bounds on tau(A ∘ B^-1) for M-matrices A, B
 # ----------------------------------------------------------------------
 
 def _tau_hinv_diag_floor(tau_a, binv, lg: _Log) -> _Rungs:
+    """tau(A) * min_i beta_ii, beta = diag(B⁻¹)."""
     beta, i = _pick(_diag(binv), upper=False)
     return _Rungs("tau_hinv_diag_floor", "lower", tau_a * beta,
                   {"tau_a": tau_a, "min_beta": beta, "argmin": i})
 
 
-def tau_hinv_diag_floor(tau_a: float, binv) -> BoundResult:
-    """tau(A) * min_i beta_ii."""
-    binv = as_matrix(binv)
-    return _one(_tau_hinv_diag_floor, _col(tau_a), binv[None])
-
-
 def _tau_hinv_jacobi_ratio(a, b, rho_ja, rho_jb, lg: _Log) -> _Rungs:
+    """(1 − rho(J_A)rho(J_B)) / (1 + rho(J_B)^2) * min_i a_ii/b_ii.
+
+    The ratio runs a_ii over b_ii; the flipped orientation fails validity
+    on desk checks, so only this one is offered.
+    """
     ratio, i = _pick(_diag(a) / _diag(b), upper=False)
     # per slice in Python floats: their ** is not numpy's square
     contraction = np.array([(1.0 - ja * jb) / (1.0 + jb ** 2) for ja, jb
@@ -499,17 +375,6 @@ def _tau_hinv_jacobi_ratio(a, b, rho_ja, rho_jb, lg: _Log) -> _Rungs:
                   {"rho_ja": rho_ja, "rho_jb": rho_jb,
                    "contraction": contraction, "min_ratio": ratio,
                    "argmin": i, "ratio": "a_ii/b_ii"})
-
-
-def tau_hinv_jacobi_ratio(a, b, rho_ja: float, rho_jb: float) -> BoundResult:
-    """(1 − rho(J_A)rho(J_B)) / (1 + rho(J_B)^2) * min_i a_ii/b_ii.
-
-    The ratio runs a_ii over b_ii; the flipped orientation fails validity
-    on desk checks, so only this one is offered.
-    """
-    a, b = _pair(a, b)
-    return _one(_tau_hinv_jacobi_ratio, a[None], b[None], _col(rho_ja),
-                _col(rho_jb))
 
 
 def _dominance_scaling(b, binv, lg: _Log) -> DominanceScaling:
@@ -526,21 +391,16 @@ def _dominance_scaling(b, binv, lg: _Log) -> DominanceScaling:
             "scaling vector must be strictly positive"))
         d[bad] = 1.0
     scaled = _scale_similarity(b, d)
-    chain = _aux_chain(scaled, lg)
-    return DominanceScaling(scaled, d, applied, chain, _caps(scaled, chain.r))
-
-
-def dominance_scaling(b, binv) -> DominanceScaling:
-    """The scaling of b, with d formed from the given inverse binv of b."""
-    b, binv = _pair(b, binv)
-    lg = _Log(1)
-    scaling = _dominance_scaling(b[None], binv[None], lg)
-    lg.flush(0)
-    return _slice(scaling, 0)
+    r, s_pair = _aux_chain(scaled, lg)
+    return DominanceScaling(d, applied, s_pair, _caps(scaled, r))
 
 
 def _tau_hinv_chain(a, b, scaling: DominanceScaling, lg: _Log) -> _Rungs:
-    s_row = scaling.chain.s_pair.max(axis=2)  # diag is 0, entries >= 0
+    """min_i (a_ii − s'_i · Σ_{j≠i}|a_ji|) / b_ii, column sums of a in the
+    numerator, with s'_i the ROW maximum max_{j≠i} s_pair[i, j] of the
+    chain table of the dominance-scaled b (each row's own chain
+    coefficients)."""
+    s_row = scaling.s_pair.max(axis=2)  # diag is 0, entries >= 0
     colsum = _offdiag_abs(a).sum(axis=1)
     value, i = _pick((_diag(a) - s_row * colsum) / _diag(b), upper=False)
     return _Rungs("tau_hinv_chain", "lower", value,
@@ -548,16 +408,9 @@ def _tau_hinv_chain(a, b, scaling: DominanceScaling, lg: _Log) -> _Rungs:
                    "scaling": scaling.d})
 
 
-def tau_hinv_chain(a, b, scaling: DominanceScaling) -> BoundResult:
-    """min_i (a_ii − s'_i · Σ_{j≠i}|a_ji|) / b_ii, column sums of a in the
-    numerator, with s'_i the ROW maximum max_{j≠i} s_pair[i, j] of the chain
-    matrix of the dominance-scaled b (each row's own chain coefficients).
-    ``scaling`` is ``dominance_scaling(b, B⁻¹)``."""
-    a, b = _pair(a, b)
-    return _one(_tau_hinv_chain, a[None], b[None], _stack_of_one(scaling))
-
-
 def _tau_hinv_jacobi_oval(a, binv, rho_ja, rho_jb, lg: _Log) -> _Rungs:
+    """Pairwise oval on the diagonal products a_ii beta_ii with the Jacobi
+    cross term 4 a_ii a_jj beta_ii beta_jj rho^2(J_A) rho^2(J_B)."""
     x = _diag(a) * _diag(binv)
     u = x * (rho_ja * rho_jb)[:, None]
     value, arg = _oval(x, u, u, False, lg)
@@ -565,28 +418,8 @@ def _tau_hinv_jacobi_oval(a, binv, rho_ja, rho_jb, lg: _Log) -> _Rungs:
                   {"rho_ja": rho_ja, "rho_jb": rho_jb, "argmin_pair": arg})
 
 
-def tau_hinv_jacobi_oval(a, b, binv, rho_ja: float, rho_jb: float) -> BoundResult:
-    """Pairwise oval on the diagonal products a_ii beta_ii with the Jacobi
-    cross term 4 a_ii a_jj beta_ii beta_jj rho^2(J_A) rho^2(J_B)."""
-    a, b = _pair(a, b)
-    _, binv = _pair(b, binv)
-    return _one(_tau_hinv_jacobi_oval, a[None], binv[None], _col(rho_ja),
-                _col(rho_jb))
-
-
 def _tau_hinv_deficit_oval(a, binv, tau_a, scaling: DominanceScaling,
                            lg: _Log) -> _Rungs:
-    da, beta = _diag(a), _diag(binv)
-    s = _offdiag_abs(scaling.caps).max(axis=1)  # caps are >= 0 off the diagonal
-    u = s * beta * (da - tau_a[:, None])
-    value, arg = _oval(da * beta, u, u, False, lg)
-    return _Rungs("tau_hinv_deficit_oval", "lower", value,
-                  {"argmin_pair": arg, "s": s, "tau_a": tau_a,
-                   "scaled": scaling.applied, "scaling": scaling.d})
-
-
-def tau_hinv_deficit_oval(a, b, binv, tau_a: float,
-                          scaling: DominanceScaling) -> BoundResult:
     """Pairwise oval with the tau(A)-deficit radicand
     4 s_i s_j β_ii β_jj (a_ii − τ(A))(a_jj − τ(A)), β = diag(B⁻¹), whose
     radii s_i = max_{j≠i} C[j, i] are the column maxima of the inverse
@@ -597,10 +430,11 @@ def tau_hinv_deficit_oval(a, b, binv, tau_a: float,
     spectrum of A∘B⁻¹ (an M-matrix by the lemma
     ``harness.lemma_product_m_matrix`` checks), the diagonal
     m_ii = a_ii β_ii, and |m_ji| = |a_ji| β̃_ji ≤ |a_ji| s_i β_ii by the
-    caps, which hold because B̃ is a strictly row-dominant M-matrix.  Take A irreducible (a reducible A is a limit of irreducible
-    M-matrices, and both sides are continuous) and v > 0 with
-    Aᵀv = τ(A)v, i.e. Σ_{j≠i} |a_ji| v_j = (a_ii − τ(A)) v_i.  The row i
-    off-diagonal sum of V⁻¹MᵀV, V = diag(v), is then
+    caps, which hold because B̃ is a strictly row-dominant M-matrix.
+    Take A irreducible (a reducible A is a limit of irreducible M-matrices,
+    and both sides are continuous) and v > 0 with Aᵀv = τ(A)v, i.e.
+    Σ_{j≠i} |a_ji| v_j = (a_ii − τ(A)) v_i.  The row i off-diagonal sum of
+    V⁻¹MᵀV, V = diag(v), is then
 
         R_i = Σ_{j≠i} |m_ji| v_j / v_i ≤ s_i β_ii (a_ii − τ(A)) = u_i.
 
@@ -608,18 +442,21 @@ def tau_hinv_deficit_oval(a, b, binv, tau_a: float,
     |z − m_ii||z − m_jj| ≤ R_i R_j with i ≠ j, and τ(M) ≤ m_ii for every
     i, so (m_ii − τ)(m_jj − τ) ≤ u_i u_j and τ(M) is at least the lower
     root of that oval, hence at least the smallest lower root over all
-    pairs.  The per-k chain radii ``scaling.chain.s`` do not cap B̃⁻¹ and
-    give no bound: on trial 0 of ``mbound verify hadamard-inverse --seed
-    100664826`` their oval is 0.9006, above τ(A∘B⁻¹) = 0.8962.
+    pairs.  The per-k chain radii max_{j≠i} s_pair[j, i] do not cap B̃⁻¹
+    and give no bound: on trial 0 of ``mbound verify hadamard-inverse
+    --seed 100664826`` their oval is 0.9006, above τ(A∘B⁻¹) = 0.8962.
     """
-    a, b = _pair(a, b)
-    _, binv = _pair(b, binv)
-    return _one(_tau_hinv_deficit_oval, a[None], binv[None], _col(tau_a),
-                _stack_of_one(scaling))
+    da, beta = _diag(a), _diag(binv)
+    s = _offdiag_abs(scaling.caps).max(axis=1)  # caps are >= 0 off the diagonal
+    u = s * beta * (da - tau_a[:, None])
+    value, arg = _oval(da * beta, u, u, False, lg)
+    return _Rungs("tau_hinv_deficit_oval", "lower", value,
+                  {"argmin_pair": arg, "s": s, "tau_a": tau_a,
+                   "scaled": scaling.applied, "scaling": scaling.d})
 
 
 # ----------------------------------------------------------------------
-# multi-matrix Fan product bound and Cassini membership
+# multi-matrix Fan product bound
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -638,9 +475,17 @@ class HolderExponents:
 
 
 def _tau_multi_fan(mats, exponents: HolderExponents, taus, lg: _Log) -> _Rungs:
-    """The multi-Fan rung of each slice; mats holds one stack per factor
-    and taus is (T, m).  Per slice, factor by factor: a bracket past
-    rounding fails the slice, then the brackets are clamped."""
+    """min_i { Π_k A_k[i,i] − Π_k (A_k[i,i]^P_k − tau(A_k^(P_k)))^(1/P_k) }
+    of each slice; mats holds one stack per factor and taus is (T, m).
+
+    Each bracket is a Perron deficit and must be nonnegative.  Per slice,
+    factor by factor: a bracket below −1e-8·A_k[i,i]^P_k fails the slice,
+    since the tau values are the caller's; anything less negative is
+    rounding and is clamped by ``_clamp_nonneg`` on the scale of the
+    factor's A_k[i,i]^P_k.  The powers are numpy's, as in
+    ``core.fan_power``, so a bracket that is zero in exact arithmetic comes
+    out as 0.
+    """
     prod_diag = prod_deficit = 1.0
     for k, (m, p) in enumerate(zip(mats, exponents.p)):
         dg = _diag(m)
@@ -656,43 +501,3 @@ def _tau_multi_fan(mats, exponents: HolderExponents, taus, lg: _Log) -> _Rungs:
     return _Rungs("tau_multi_fan", "lower", value,
                   {"argmin": i, "p": tuple(int(x) for x in exponents.p),
                    "taus_of_fan_powers": taus})
-
-
-def tau_multi_fan(matrices: Sequence, exponents: HolderExponents,
-                  taus_of_fan_powers: Sequence[float]) -> BoundResult:
-    """min_i { Π_k A_k[i,i] − Π_k (A_k[i,i]^P_k − tau(A_k^(P_k)))^(1/P_k) }.
-
-    Each bracket is a Perron deficit and must be nonnegative.  A bracket
-    below −1e-8·A_k[i,i]^P_k raises: the tau values are the caller's.
-    Anything less negative is rounding and is clamped by ``_clamp_nonneg``
-    on the scale of the factor's A_k[i,i]^P_k.  The powers are numpy's, as
-    in ``core.fan_power``, so a bracket that is zero in exact arithmetic
-    comes out as 0.
-    """
-    mats = [as_matrix(m) for m in matrices]
-    if len(mats) != len(exponents.p) or len(mats) != len(taus_of_fan_powers):
-        raise ValueError("matrices, exponents and tau values must align")
-    n = mats[0].shape[0]
-    if any(m.shape[0] != n for m in mats):
-        raise ValueError("order mismatch")
-    lg = _Log(1)
-    taus = np.array([taus_of_fan_powers], dtype=np.float64)
-    return _one(_tau_multi_fan, [m[None] for m in mats], exponents, taus)
-
-
-def cassini_contains(a, z: complex) -> bool:
-    """True iff z lies in some oval |z−a_ii||z−a_jj| <= c_i c_j (i != j),
-    where c_i are the absolute COLUMN sums without the diagonal."""
-    a = as_matrix(a)
-    if a.shape[0] < 2:
-        raise ValueError("Cassini requires n >= 2")
-    col = _offdiag_abs(a).sum(axis=0)
-    dist = np.abs(z - np.diag(a))
-    lhs = dist[:, None] * dist
-    rhs = col[:, None] * col
-    # eigenvalues of 2x2 matrices sit exactly ON the oval boundary, so a
-    # computed root needs float-level slack to stay a member
-    slack = 1e-12 * np.maximum(max(1.0, abs(z) ** 2), rhs)
-    inside = lhs <= rhs + slack
-    np.fill_diagonal(inside, False)
-    return bool(inside.any())

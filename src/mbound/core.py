@@ -57,13 +57,6 @@ def _same_order(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError("order mismatch")
 
 
-def _pair(a, b):
-    a = as_matrix(a)
-    b = as_matrix(b)
-    _same_order(a, b)
-    return a, b
-
-
 def _finite(out: np.ndarray, what: str) -> np.ndarray:
     """out, or a ValueError naming ``what`` when out left float64 range."""
     if not np.isfinite(out).all():

@@ -15,14 +15,16 @@ problems (``Family.problems``) and solves those of all trials in one
 stacked call per order (``spectral.solve``).  The third evaluates the
 ladders and the structural checks of all trials of one order as one
 (T, n, n) stack (``Family.assess``), and the per-trial ``BoundResult`` and
-``TrialReport`` records are built at the end.  A CLI pair is a stack of
-one.  Input is validated once, where it enters: by ``cli.read_matrix``
-for the CLI, by ``as_matrix`` in the public ``core`` and ``bounds``
-functions, and by construction for the generated factors, which are
-finite float64.  No kernel checks its arrays again.  Clamp warnings and errors
-are recorded per trial and replayed in trial order, so a stacked suite
-logs what a one-at-a-time evaluation would log and raises its error at the
-trial, and the step of that trial, where that evaluation would meet it.
+``TrialReport`` records are built at the end.  One tuple of factors, such
+as a CLI pair, is a stack of one (``Family.evaluate``).  Input is
+validated once, where it enters: by ``cli.read_matrix`` for the CLI, by
+``as_matrix`` in ``Family.evaluate`` and the public ``core`` and
+``spectral`` functions, and by construction for the generated factors,
+which are finite float64.  No kernel checks its arrays again.  Clamp
+warnings and errors are recorded per trial and replayed in trial order,
+so a stacked suite logs what a one-at-a-time evaluation would log and
+raises its error at the trial, and the step of that trial, where that
+evaluation would meet it.
 
 A trial's ``violations`` tuple names every failed condition — a bound on
 the wrong side of the oracle beyond tolerance, or a structural check
@@ -41,7 +43,7 @@ import numpy as np
 from . import _lu, bounds, spectral
 from .bounds import _diag
 from .core import (_by_order, _fan_power, _fan_product, _hadamard,
-                   _scale_similarity, hadamard)
+                   _scale_similarity, as_matrix, hadamard)
 from .errors import ClassMismatchError, MboundError, unwrap
 from .spectral import _jacobi_matrix, _m_inverse
 
@@ -295,9 +297,10 @@ def _golden_checks(family: str, oracle: float, ladder):
     return out
 
 
-def _chain_le(x: float, y: float) -> bool:
+def _chain_le(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # x <= y with slack scaled to the magnitudes (n-th powers get large)
-    return x <= y + CHAIN_REL_TOL * max(1.0, abs(x), abs(y))
+    return x <= y + CHAIN_REL_TOL * np.maximum(1.0, np.maximum(np.abs(x),
+                                                              np.abs(y)))
 
 
 def _sample_order(rng, order_min: int, order_max: int) -> int:
@@ -336,6 +339,7 @@ class Family:
     Both record each slice's clamp warnings and errors in ``log``.
     ``check_problems(mats, exponents)`` lists the spectral problems the
     checks need, whose outcomes a suite hands them in ctx["checked"].
+    A ``holder`` family takes one factor per Hölder exponent.
     """
 
     kind: str  # GeneratorSpec kind of the generated factors
@@ -347,6 +351,16 @@ class Family:
     ladder: Callable
     checks: Callable
     check_problems: Callable = lambda mats, exponents: []
+    holder: bool = False
+
+    def arity(self, exponents) -> int:
+        """The factor count of one product: one per exponent for a
+        ``holder`` family, which needs exponents, and two for the others."""
+        if not self.holder:
+            return 2
+        if exponents is None:
+            raise ValueError("this family needs Hölder exponents")
+        return len(exponents.p)
 
     def solve(self, trials, exponents, checked: bool = False) -> list:
         """Per tuple of factors in ``trials``, (values, ctx) or the first
@@ -411,8 +425,13 @@ class Family:
 
     def evaluate(self, mats, exponents):
         """(oracle, ladder) of one tuple of factors, by the code path of a
-        suite trial: a stack of one, without the checks.  The factors are
-        square, finite float64 arrays, as ``cli.read_matrix`` returns."""
+        suite trial: a stack of one, without the checks.  This is the one
+        way into a ladder from outside a suite: each factor goes through
+        ``as_matrix``, and their count must be ``arity(exponents)``."""
+        m = self.arity(exponents)
+        if len(mats) != m:
+            raise ValueError(f"expected {m} factors, got {len(mats)}")
+        mats = [as_matrix(m) for m in mats]
         solved = unwrap(self.solve([mats], exponents)[0])
         lg, i, oracle, ladder, *_ = self.assess([mats], [solved], exponents,
                                                 checked=False)[0]
@@ -430,21 +449,6 @@ class Family:
         if not math.isfinite(tol):
             raise ValueError("tol must be finite")
         return slack < -tol
-
-
-def _det_chains(lg, chain, n, *cols) -> np.ndarray:
-    """chain(*scalars, n) per slice, in Python floats: their ** is libm's
-    pow, where numpy's x**2 is x*x, and the two differ in the last bit on
-    some inputs.  A power that overflows raises OverflowError; that becomes
-    the slice's error, and its verdict False."""
-    out = []
-    for t, args in enumerate(zip(*(c.tolist() for c in cols))):
-        try:
-            out.append(chain(*args, n))
-        except OverflowError as exc:
-            lg.fail(t, exc)
-            out.append(False)
-    return np.array(out, dtype=bool)
 
 
 def _hadamard_problems(mats, exponents, todo):
@@ -467,24 +471,25 @@ def _hadamard_ladder(mats, exponents, values, ctx, lg):
     return oracle, ladder, {**ctx, "rho_a": rho_a, "rho_b": rho_b}
 
 
-def _hadamard_det_chain(det, oracle, w, n):
-    c1 = _chain_le(det, oracle ** n)
-    c2 = _chain_le(oracle ** n, w ** n)
-    return c1 and c2
+def _hadamard_det_chain(prod, oracle, w):
+    """|det| <= oracle^n <= (tightest upper bound)^n per slice, with
+    numpy's determinant as an independent reference.  A power or a
+    determinant that overflows is inf, and inf <= inf holds."""
+    n = prod.shape[1]
+    with np.errstate(over="ignore"):
+        det = np.abs(np.linalg.det(prod))
+        on = oracle ** n
+        return _chain_le(det, on) & _chain_le(on, w ** n)
 
 
 def _hadamard_checks(mats, exponents, oracle, ladder, ctx, lg):
     a, b = mats
-    n = a.shape[1]
     prod = ctx["prod"]
     # anchor: the oracle can never undercut a diagonal product
     checks = [("diag_anchor",
                oracle >= _diag(prod).max(axis=1) - VIOLATION_TOL, None)]
-    # determinant chain: |det| <= oracle^n <= (tightest upper bound)^n, with
-    # numpy's determinant as an independent reference
-    det = np.abs(np.linalg.det(prod))
-    checks.append(("det_chain", _det_chains(lg, _hadamard_det_chain, n, det,
-                                            oracle, ladder[3].values), None))
+    checks.append(("det_chain",
+                   _hadamard_det_chain(prod, oracle, ladder[3].values), None))
     # conditional dominance of the rowmax oval over the deficit oval
     s, t = ladder[3].components["s"], ladder[3].components["t"]
     hyp = ((t + _diag(b) >= ctx["rho_b"][:, None]).all(axis=1)
@@ -514,24 +519,23 @@ def _fan_ladder(mats, exponents, values, ctx, lg):
     return oracle, ladder, {**ctx, "tau_a": tau_a, "tau_b": tau_b}
 
 
-def _fan_det_chain(det, oracle, w, n):
-    # |det| >= oracle^n >= bound^n (bound >= 0 or odd n)
-    c1 = _chain_le(oracle ** n, det)
-    c2 = True
-    if w >= 0.0 or n % 2 == 1:
-        c2 = _chain_le(w * abs(w) ** (n - 1), oracle ** n)
-    return c1 and c2
+def _fan_det_chain(prod, oracle, w):
+    """|det| >= oracle^n >= w·|w|^(n−1) per slice, which a negative bound
+    passes at once.  Overflow is inf, as in the hadamard chain."""
+    n = prod.shape[1]
+    with np.errstate(over="ignore"):
+        det = np.abs(np.linalg.det(prod))
+        on = oracle ** n
+        return _chain_le(on, det) & _chain_le(w * np.abs(w) ** (n - 1), on)
 
 
 def _fan_checks(mats, exponents, oracle, ladder, ctx, lg):
     a, b = mats
-    n = a.shape[1]
     prod = ctx["prod"]
     checks = [("diag_anchor",
                oracle <= _diag(prod).min(axis=1) + VIOLATION_TOL, None)]
-    det = np.abs(np.linalg.det(prod))
-    checks.append(("det_chain", _det_chains(lg, _fan_det_chain, n, det,
-                                            oracle, ladder[3].values), None))
+    checks.append(("det_chain",
+                   _fan_det_chain(prod, oracle, ladder[3].values), None))
     s, t = ladder[3].components["s"], ladder[3].components["t"]
     hyp = ((_diag(a) >= ctx["tau_a"][:, None] + s).all(axis=1)
            & (_diag(b) >= ctx["tau_b"][:, None] + t).all(axis=1))
@@ -649,7 +653,7 @@ FAMILIES = {
     "multi-fan": Family(
         "m_matrix", (WORKED_FAN_A, WORKED_FAN_B, WORKED_FAN_A), "multi-fan",
         "tau_multi_fan", True, _multi_fan_problems, _multi_fan_ladder,
-        _multi_fan_checks, _multi_fan_check_problems),
+        _multi_fan_checks, _multi_fan_check_problems, holder=True),
 }
 
 
@@ -667,7 +671,7 @@ def run_suite(family: Family, trials: int, spec: GeneratorSpec,
     construction, so they enter without ``as_matrix``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    m = 2 if exponents is None else len(exponents.p)
+    m = family.arity(exponents)
     omin, omax = _spec_pair(spec, order_min, order_max)
     first = 1 if with_examples else 0
     drawn = []

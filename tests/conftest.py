@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mbound import bounds
 from mbound.harness import (WORKED_FAN_A, WORKED_FAN_B, WORKED_HADAMARD_A,
                             WORKED_HADAMARD_B, WORKED_HINV_A, WORKED_HINV_B)
 
@@ -32,3 +33,12 @@ def random_m_matrix(rng, n, margin=0.5, density=1.0):
     rho = float(np.max(np.abs(np.linalg.eigvals(p))))
     alpha = rho * (1.0 + margin) if rho > 0 else margin
     return alpha * np.eye(n) - p
+
+
+def row_chain(b):
+    """(r, s_pair, caps): the row chain and inverse caps of one strictly
+    row-dominant b, from the stacked kernels on a stack of one."""
+    lg = bounds._Log(1)
+    r, s_pair = bounds._aux_chain(b[None], lg)
+    lg.flush(0)
+    return r[0], s_pair[0], bounds._caps(b[None], r)[0]

@@ -10,43 +10,62 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbound import bounds as B
-from mbound.core import classify, fan_power, fan_product, hadamard
+from mbound.core import fan_power
 from mbound.harness import FAMILIES
 from mbound.spectral import inverse, jacobi_radius, rho_nonnegative, tau_m_matrix
-from conftest import random_m_matrix, random_nonnegative
+from conftest import random_m_matrix, random_nonnegative, row_chain
 
 RHO_A = 5.733861558170684
 TAU_FAN_A = 0.5401802170802908
 TAU_FAN_B = 0.3431587288220414
 TAU_HINV_A = 0.19098300562505266
-TAU_HINV_B = 1.0
+
+
+def evaluate(family, mats, exponents=None):
+    """(oracle, {rung name: BoundResult}) of one tuple of factors."""
+    oracle, ladder = FAMILIES[family].evaluate(mats, exponents)
+    return oracle, {br.name: br for br in ladder}
+
+
+def one(x):
+    """x as a stack of one: a matrix as (1, n, n), a value as (1,)."""
+    return np.array([x], dtype=float)
+
+
+def kernel(rung, *args):
+    """A rung kernel on stacks of one, fed chosen spectral values: its
+    BoundResult, after its clamp warnings and its error."""
+    lg = B._Log(1)
+    rungs = rung(*args, lg)
+    lg.flush(0)
+    return rungs.records()[0]
 
 
 # --- upper ladder on the entrywise product -------------------------------
 
 def test_rho_ladder_reference_values(hadamard_pair):
-    a, b = hadamard_pair
-    ra, rb = RHO_A, 4.0  # second factor is the all-ones matrix
-    assert B.rho_bound_product(ra, rb).value == pytest.approx(22.935446232682736, abs=1e-9)
-    assert B.rho_bound_affine(a, b, ra, rb).value == pytest.approx(17.101584674512054, abs=1e-9)
-    assert B.rho_bound_oval_deficit(a, b, ra, rb).value == pytest.approx(11.647675642412898, abs=1e-9)
-    assert B.rho_bound_oval_rowmax(a, b, ra, rb).value == pytest.approx(8.18972175763222, abs=1e-9)
+    _, rungs = evaluate("hadamard", hadamard_pair)
+    # the second factor is the all-ones matrix, rho(B) = 4
+    assert rungs["rho_product"].components["rho_a"] == pytest.approx(RHO_A, abs=1e-12)
+    assert rungs["rho_product"].components["rho_b"] == pytest.approx(4.0, abs=1e-12)
+    assert rungs["rho_product"].value == pytest.approx(22.935446232682736, abs=1e-9)
+    assert rungs["rho_affine"].value == pytest.approx(17.101584674512054, abs=1e-9)
+    assert rungs["rho_oval_deficit"].value == pytest.approx(11.647675642412898, abs=1e-9)
+    assert rungs["rho_oval_rowmax"].value == pytest.approx(8.18972175763222, abs=1e-9)
 
 
 def test_rho_ladder_direction_fields(hadamard_pair):
-    a, b = hadamard_pair
-    for br in (B.rho_bound_product(1.0, 1.0),
-               B.rho_bound_affine(a, b, RHO_A, 4.0),
-               B.rho_bound_oval_deficit(a, b, RHO_A, 4.0),
-               B.rho_bound_oval_rowmax(a, b, RHO_A, 4.0)):
+    _, rungs = evaluate("hadamard", hadamard_pair)
+    assert list(rungs) == ["rho_product", "rho_affine", "rho_oval_deficit",
+                           "rho_oval_rowmax"]
+    for br in rungs.values():
         assert br.direction == "upper"
 
 
 def test_rho_oval_bounds_order_one():
-    a = np.array([[3.0]])
-    b = np.array([[2.0]])
-    assert B.rho_bound_oval_deficit(a, b, 3.0, 2.0).value == pytest.approx(6.0)
-    assert B.rho_bound_oval_rowmax(a, b, 3.0, 2.0).value == pytest.approx(6.0)
+    _, rungs = evaluate("hadamard", [np.array([[3.0]]), np.array([[2.0]])])
+    assert rungs["rho_oval_deficit"].value == pytest.approx(6.0)
+    assert rungs["rho_oval_rowmax"].value == pytest.approx(6.0)
 
 
 def test_rho_ladder_validity_random():
@@ -54,25 +73,21 @@ def test_rho_ladder_validity_random():
     for _ in range(40):
         n = int(rng.integers(2, 7))
         a, b = random_nonnegative(rng, n), random_nonnegative(rng, n)
-        ra = rho_nonnegative(a).value
-        rb = rho_nonnegative(b).value
-        oracle = rho_nonnegative(hadamard(a, b)).value
-        for br in (B.rho_bound_product(ra, rb),
-                   B.rho_bound_affine(a, b, ra, rb),
-                   B.rho_bound_oval_deficit(a, b, ra, rb),
-                   B.rho_bound_oval_rowmax(a, b, ra, rb)):
+        oracle, rungs = evaluate("hadamard", [a, b])
+        for br in rungs.values():
             assert br.value >= oracle - 1e-8, br.name
 
 
 # --- lower ladder on the fan product --------------------------------------
 
 def test_tau_ladder_reference_values(fan_pair):
-    a, b = fan_pair
-    ta, tb = TAU_FAN_A, TAU_FAN_B
-    assert B.tau_bound_product(ta, tb).value == pytest.approx(0.185367556628087, abs=1e-9)
-    assert B.tau_bound_affine(a, b, ta, tb).value == pytest.approx(0.6979713892742452, abs=1e-9)
-    assert B.tau_bound_oval_deficit(a, b, ta, tb).value == pytest.approx(0.7654211149929866, abs=1e-9)
-    assert B.tau_bound_oval_rowmax(a, b, ta, tb).value == pytest.approx(0.8002018359012877, abs=1e-9)
+    _, rungs = evaluate("fan", fan_pair)
+    assert rungs["tau_product"].components["tau_a"] == pytest.approx(TAU_FAN_A, abs=1e-12)
+    assert rungs["tau_product"].components["tau_b"] == pytest.approx(TAU_FAN_B, abs=1e-12)
+    assert rungs["tau_product"].value == pytest.approx(0.185367556628087, abs=1e-9)
+    assert rungs["tau_affine"].value == pytest.approx(0.6979713892742452, abs=1e-9)
+    assert rungs["tau_oval_deficit"].value == pytest.approx(0.7654211149929866, abs=1e-9)
+    assert rungs["tau_oval_rowmax"].value == pytest.approx(0.8002018359012877, abs=1e-9)
 
 
 def test_tau_ladder_validity_random():
@@ -80,13 +95,8 @@ def test_tau_ladder_validity_random():
     for _ in range(40):
         n = int(rng.integers(2, 7))
         a, b = random_m_matrix(rng, n), random_m_matrix(rng, n)
-        ta = tau_m_matrix(a).value
-        tb = tau_m_matrix(b).value
-        oracle = tau_m_matrix(fan_product(a, b)).value
-        for br in (B.tau_bound_product(ta, tb),
-                   B.tau_bound_affine(a, b, ta, tb),
-                   B.tau_bound_oval_deficit(a, b, ta, tb),
-                   B.tau_bound_oval_rowmax(a, b, ta, tb)):
+        oracle, rungs = evaluate("fan", [a, b])
+        for br in rungs.values():
             assert br.value <= oracle + 1e-8, br.name
 
 
@@ -94,28 +104,25 @@ def test_tau_ladder_validity_random():
 
 def test_offdiag_max_values(hadamard_pair):
     a, _ = hadamard_pair
-    rung = B.rho_bound_oval_rowmax(a, a, 1.0, 1.0).components
+    rung = evaluate("hadamard", [a, a])[1]["rho_oval_rowmax"].components
     np.testing.assert_allclose(rung["s"], [2.0, 1.0, 1.0, 1.0])
     np.testing.assert_allclose(rung["s"], rung["t"])
 
 
 def test_offdiag_max_order_one():
-    rung = B.tau_bound_oval_rowmax(np.array([[5.0]]), np.array([[2.0]]),
-                                   1.0, 1.0).components
+    rung = evaluate("fan", [np.array([[5.0]]), np.array([[2.0]])])[1][
+        "tau_oval_rowmax"].components
     assert rung["s"] == (0.0,) and rung["t"] == (0.0,)
 
 
 def test_aux_chain_worked(hinv_pair):
     _, b = hinv_pair
-    chain = B.aux_chain(b)
+    r, s_pair, _ = row_chain(b)
     # diagonal slots stay zero; all multipliers land in [0, 1) for this
     # strictly dominant matrix
-    assert np.all(np.diag(chain.r_pair) == 0.0)
-    assert np.all(np.diag(chain.s_pair) == 0.0)
-    assert np.all((chain.r >= 0.0) & (chain.r < 1.0))
-    assert np.all((chain.s >= 0.0) & (chain.s < 1.0))
-    # column maxima of the pair table
-    np.testing.assert_allclose(chain.s, chain.s_pair.max(axis=0))
+    assert np.all(np.diag(s_pair) == 0.0)
+    assert np.all((r >= 0.0) & (r < 1.0))
+    assert np.all((s_pair >= 0.0) & (s_pair < 1.0))
 
 
 def test_aux_chain_rejects_weak_rows():
@@ -123,7 +130,7 @@ def test_aux_chain_rejects_weak_rows():
     bad = np.array([[1.0, -2.0, -2.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ValueError,
                        match="denominator nonpositive at row 0, column 1"):
-        B.aux_chain(bad)
+        row_chain(bad)
 
 
 def _chain_loop(a):
@@ -154,7 +161,7 @@ def _chain_loop(a):
                     caps[j, i] = (off[j, i] + r[i] * (rowsum[j] - off[j, i])) / dg[j]
         for i in range(n):
             s[i] = max(s_pair[j, i] for j in range(n) if j != i)
-    return r_pair, r, s_pair, s, caps
+    return r, s_pair, s, caps
 
 
 def test_aux_chain_matches_the_loop():
@@ -164,18 +171,16 @@ def test_aux_chain_matches_the_loop():
         p = random_nonnegative(rng, n, density=(1.0, 0.3)[k % 2])
         np.fill_diagonal(p, 0.0)  # strictly row dominant below
         b = np.diag(p.sum(axis=1) + rng.uniform(0.05, 1.0, n)) - p
-        chain = B.aux_chain(b)
-        r_pair, r, s_pair, s, caps = _chain_loop(b)
-        assert np.array_equal(chain.r_pair, r_pair)
-        assert np.array_equal(chain.r, r)
-        assert np.array_equal(B.inverse_column_caps(b, chain), caps)
-        np.testing.assert_allclose(chain.s_pair, s_pair, rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose(chain.s, s, rtol=1e-14, atol=0.0)
+        r, s_pair, caps = row_chain(b)
+        ref_r, ref_s_pair, _, ref_caps = _chain_loop(b)
+        assert np.array_equal(r, ref_r)
+        assert np.array_equal(caps, ref_caps)
+        np.testing.assert_allclose(s_pair, ref_s_pair, rtol=1e-14, atol=0.0)
 
 
 def test_inverse_column_caps_hold(hinv_pair):
     _, b = hinv_pair
-    caps = B.inverse_column_caps(b)
+    caps = row_chain(b)[2]
     binv = inverse(b)
     beta = np.diag(binv)
     for j in range(4):
@@ -189,9 +194,9 @@ def test_inverse_caps_pair_table_insufficient(hinv_pair):
     # matrix has (B^-1)_21 above s_21 * (B^-1)_11, so the cap must couple
     # the full row weight with the column multiplier instead
     _, b = hinv_pair
-    chain = B.aux_chain(b)
+    s_pair = row_chain(b)[1]
     binv = inverse(b)
-    assert binv[2, 1] > chain.s_pair[2, 1] * binv[1, 1] + 1e-3
+    assert binv[2, 1] > s_pair[2, 1] * binv[1, 1] + 1e-3
 
 
 def test_inverse_caps_random_dominant():
@@ -203,7 +208,7 @@ def test_inverse_caps_random_dominant():
         # strict row dominance
         gap = np.abs(b).sum(axis=1) - 2 * np.diag(b)
         b = b + np.diag(np.maximum(0.0, gap) + 0.1)
-        caps = B.inverse_column_caps(b)
+        caps = row_chain(b)[2]
         binv = inverse(b)
         beta = np.diag(binv)
         for j in range(n):
@@ -216,32 +221,35 @@ def test_inverse_caps_random_dominant():
 
 def test_hinv_ladder_reference_values(hinv_pair):
     a, b = hinv_pair
-    binv = inverse(b)
-    rja, rjb = jacobi_radius(a), jacobi_radius(b)
-    assert rja == pytest.approx(0.8090169943749471, abs=1e-10)
-    assert rjb == pytest.approx(0.7651617568885356, abs=1e-10)
-    assert B.tau_hinv_diag_floor(TAU_HINV_A, binv).value == pytest.approx(
+    _, rungs = evaluate("hadamard-inverse", hinv_pair)
+    ratio = rungs["tau_hinv_jacobi_ratio"].components
+    assert ratio["rho_ja"] == pytest.approx(jacobi_radius(a), abs=1e-12)
+    assert ratio["rho_jb"] == pytest.approx(jacobi_radius(b), abs=1e-12)
+    assert ratio["rho_ja"] == pytest.approx(0.8090169943749471, abs=1e-10)
+    assert ratio["rho_jb"] == pytest.approx(0.7651617568885356, abs=1e-10)
+    assert rungs["tau_hinv_diag_floor"].components["tau_a"] == pytest.approx(
+        TAU_HINV_A, abs=1e-12)
+    assert rungs["tau_hinv_diag_floor"].value == pytest.approx(
         0.07002710206251932, abs=1e-9)
-    assert B.tau_hinv_jacobi_ratio(a, b, rja, rjb).value == pytest.approx(
+    assert rungs["tau_hinv_jacobi_ratio"].value == pytest.approx(
         0.04805774074519007, abs=1e-9)
-    assert B.tau_hinv_chain(a, b, B.dominance_scaling(b, binv)).value == pytest.approx(
-        0.08, abs=1e-12)
-    assert B.tau_hinv_jacobi_oval(a, b, binv, rja, rjb).value == pytest.approx(
+    assert rungs["tau_hinv_chain"].value == pytest.approx(0.08, abs=1e-12)
+    assert rungs["tau_hinv_jacobi_oval"].value == pytest.approx(
         0.14567819318505643, abs=1e-9)
 
 
 def test_hinv_deficit_oval_variants(hinv_pair):
     # one variant is left: the radii are the column maxima of the inverse
-    # caps, not the per-k chain s, which does not cap B^-1
-    a, b = hinv_pair
-    binv = inverse(b)
-    scaling = B.dominance_scaling(b, binv)
-    br = B.tau_hinv_deficit_oval(a, b, binv, TAU_HINV_A, scaling)
+    # caps, not the per-k chain s, which does not cap B^-1.  The worked B
+    # is strictly row dominant, so it is not scaled.
+    _, b = hinv_pair
+    br = evaluate("hadamard-inverse", hinv_pair)[1]["tau_hinv_deficit_oval"]
     assert br.value == pytest.approx(0.17610873206162017, abs=1e-9)
-    caps = B.inverse_column_caps(b)
+    assert br.components["scaled"] is False
+    caps = row_chain(b)[2]
     np.fill_diagonal(caps, 0.0)
     assert br.components["s"] == tuple(caps.max(axis=0))
-    assert not np.allclose(br.components["s"], scaling.chain.s)
+    assert not np.allclose(br.components["s"], _chain_loop(b)[2])
     assert "variant" not in br.components
 
 
@@ -250,16 +258,10 @@ def test_hinv_ladder_validity_random():
     for _ in range(30):
         n = int(rng.integers(2, 7))
         a, b = random_m_matrix(rng, n), random_m_matrix(rng, n)
-        binv = inverse(b)
-        oracle = tau_m_matrix(hadamard(a, binv)).value
-        ta, tb = tau_m_matrix(a).value, tau_m_matrix(b).value
-        rja, rjb = jacobi_radius(a), jacobi_radius(b)
-        scaling = B.dominance_scaling(b, binv)
-        for br in (B.tau_hinv_diag_floor(ta, binv),
-                   B.tau_hinv_jacobi_ratio(a, b, rja, rjb),
-                   B.tau_hinv_chain(a, b, scaling),
-                   B.tau_hinv_jacobi_oval(a, b, binv, rja, rjb),
-                   B.tau_hinv_deficit_oval(a, b, binv, ta, scaling)):
+        oracle, rungs = evaluate("hadamard-inverse", [a, b])
+        assert oracle == pytest.approx(
+            tau_m_matrix(a * inverse(b)).value, rel=1e-12)
+        for br in rungs.values():
             assert br.value <= oracle + 1e-8, br.name
 
 
@@ -297,16 +299,20 @@ def test_oval_ties_keep_the_first_row_major_pair():
     # A = B symmetric makes the ovals at (i, j) and (j, i) equal; the scan
     # keeps the first of the two in row-major order
     a = np.array([[1.0, 0.5, 0.5], [0.5, 2.0, 1.0], [0.5, 1.0, 3.0]])
-    r = rho_nonnegative(a).value
-    assert B.rho_bound_oval_deficit(a, a, r, r).components["argmax_pair"] == (0, 2)
-    assert B.rho_bound_oval_rowmax(a, a, r, r).components["argmax_pair"] == (1, 2)
+    a, r = one(a), one(rho_nonnegative(a).value)
+    assert kernel(B._rho_oval_deficit, a, a, r, r).components[
+        "argmax_pair"] == (0, 2)
+    assert kernel(B._rho_oval_rowmax, a, a, r, r).components[
+        "argmax_pair"] == (1, 2)
     m = np.array([[3.0, -0.5, -0.5], [-0.5, 2.0, -1.0], [-0.5, -1.0, 1.5]])
-    t = tau_m_matrix(m).value
-    assert B.tau_bound_oval_deficit(m, m, t, t).components["argmin_pair"] == (1, 2)
-    assert B.tau_bound_oval_rowmax(m, m, t, t).components["argmin_pair"] == (1, 2)
+    m, t = one(m), one(tau_m_matrix(m).value)
+    assert kernel(B._tau_oval_deficit, m, m, t, t).components[
+        "argmin_pair"] == (1, 2)
+    assert kernel(B._tau_oval_rowmax, m, m, t, t).components[
+        "argmin_pair"] == (1, 2)
     # every pair ties: the first pair overall
-    ones = np.ones((3, 3))
-    assert B.rho_bound_oval_deficit(ones, ones, 3.0, 3.0).components[
+    ones, three = one(np.ones((3, 3))), one(3.0)
+    assert kernel(B._rho_oval_deficit, ones, ones, three, three).components[
         "argmax_pair"] == (0, 1)
 
 
@@ -323,10 +329,10 @@ def test_ladder_scale_covariant(family, n, seed, s):
     rng = np.random.default_rng(seed)
     gen = random_nonnegative if family == "hadamard" else random_m_matrix
     a, b = gen(rng, n), gen(rng, n)
-    evaluate = FAMILIES[family].evaluate
+    fam = FAMILIES[family]
     p22 = B.HolderExponents((2, 2)) if family == "multi-fan" else None
-    _, base = evaluate([a, b], p22)
-    _, scaled = evaluate([s * a, s * b], p22)
+    _, base = fam.evaluate([a, b], p22)
+    _, scaled = fam.evaluate([s * a, s * b], p22)
     band = 0.0
     if family == "hadamard-inverse":
         k, ref = 1.0, np.max(np.diag(a) * np.diag(inverse(b)))
@@ -339,7 +345,8 @@ def test_ladder_scale_covariant(family, n, seed, s):
         # its τ oracles' relative 1e-12 by the root of that deficit; allow
         # the rung's spread over that band (it increases with each τ)
         taus = base[0].components["taus_of_fan_powers"]
-        hi, lo = (B.tau_multi_fan([a, b], p22, [t * (1.0 + e) for t in taus])
+        hi, lo = (kernel(B._tau_multi_fan, [one(a), one(b)], p22,
+                         one([t * (1.0 + e) for t in taus]))
                   for e in (1e-12, -1e-12))
         band = hi.value - lo.value
     for x, y in zip(base, scaled):
@@ -370,28 +377,28 @@ def test_multi_fan_reference_values(fan_pair):
     assert tau_m_matrix(fan_power(b, 2)).value == pytest.approx(
         0.7694405866821603, abs=1e-9)
     p11 = B.HolderExponents((1, 1))
-    taus = [tau_m_matrix(fan_power(m, 1)).value for m in (a, b)]
-    assert B.tau_multi_fan([a, b], p11, taus).value == pytest.approx(
-        0.6979713892742453, abs=1e-9)
+    br = evaluate("multi-fan", fan_pair, p11)[1]["tau_multi_fan"]
+    assert br.components["taus_of_fan_powers"] == pytest.approx(
+        (TAU_FAN_A, TAU_FAN_B), abs=1e-12)
+    assert br.value == pytest.approx(0.6979713892742453, abs=1e-9)
     p22 = B.HolderExponents((2, 2))
-    taus = [tau_m_matrix(fan_power(m, 2)).value for m in (a, b)]
-    assert B.tau_multi_fan([a, b], p22, taus).value == pytest.approx(
-        0.8579428671084329, abs=1e-9)
+    br = evaluate("multi-fan", fan_pair, p22)[1]["tau_multi_fan"]
+    assert br.components["taus_of_fan_powers"] == pytest.approx(
+        (0.9124727604266033, 0.7694405866821603), abs=1e-9)
+    assert br.value == pytest.approx(0.8579428671084329, abs=1e-9)
 
 
 def test_multi_fan_single_factor_is_tau(fan_pair):
     a, _ = fan_pair
     p = B.HolderExponents((1,))
-    br = B.tau_multi_fan([a], p, [TAU_FAN_A])
+    br = evaluate("multi-fan", [a], p)[1]["tau_multi_fan"]
     assert br.value == pytest.approx(TAU_FAN_A, abs=1e-12)
 
 
 def test_multi_fan_equals_affine_at_ones(fan_pair):
-    a, b = fan_pair
     p = B.HolderExponents((1, 1))
-    taus = [TAU_FAN_A, TAU_FAN_B]
-    br = B.tau_multi_fan([a, b], p, taus)
-    affine = B.tau_bound_affine(a, b, TAU_FAN_A, TAU_FAN_B)
+    br = evaluate("multi-fan", fan_pair, p)[1]["tau_multi_fan"]
+    affine = evaluate("fan", fan_pair)[1]["tau_affine"]
     assert br.value == pytest.approx(affine.value, abs=1e-12)
 
 
@@ -400,9 +407,9 @@ def test_multi_fan_clamp_is_scale_free(fan_pair, caplog):
     a, b = fan_pair
     p11 = B.HolderExponents((1, 1))
     for s in (1.0, 1e-10):
-        taus = [2.0 * s * np.max(np.diag(a)), s * TAU_FAN_B]
+        taus = one([2.0 * s * np.max(np.diag(a)), s * TAU_FAN_B])
         with pytest.raises(ValueError, match="negative Perron deficit"):
-            B.tau_multi_fan([s * a, s * b], p11, taus)
+            kernel(B._tau_multi_fan, [one(s * a), one(s * b)], p11, taus)
     # triangular factors: tau(A) is a_11 up to rounding, which is no clamp
     a = np.array([[2.3e101, -1e100], [0.0, 1e103]])
     b = np.array([[7e100, 0.0], [-1e100, 9e100]])
@@ -414,49 +421,25 @@ def test_multi_fan_clamp_is_scale_free(fan_pair, caplog):
 def test_multi_fan_logs_nothing_after_its_error(fan_pair, caplog):
     # factor 0's bracket fails first, so factor 1's clamp is never logged
     a, b = fan_pair
+    mats = [one(a), one(b)]
     p11 = B.HolderExponents((1, 1))
     edge = float(np.min(np.diag(b))) * (1.0 + 5e-9)
     with caplog.at_level("WARNING", logger="mbound.bounds"):
         with pytest.raises(ValueError, match="negative Perron deficit"):
-            B.tau_multi_fan([a, b], p11, [2.0 * np.max(np.diag(a)), edge])
+            kernel(B._tau_multi_fan, mats, p11,
+                   one([2.0 * np.max(np.diag(a)), edge]))
     assert not caplog.records
     with caplog.at_level("WARNING", logger="mbound.bounds"):
-        B.tau_multi_fan([a, b], p11, [TAU_FAN_A, edge])
+        kernel(B._tau_multi_fan, mats, p11, one([TAU_FAN_A, edge]))
     assert len(caplog.records) == 1
     assert caplog.records[0].getMessage().startswith(
         "clamping negative deficit -")
 
 
 def test_multi_fan_argument_mismatch(fan_pair):
-    a, b = fan_pair
-    with pytest.raises(ValueError):
-        B.tau_multi_fan([a, b], B.HolderExponents((1,)), [TAU_FAN_A])
-
-
-# --- pairwise inclusion region ----------------------------------------------
-
-def test_cassini_contains_perron_root():
-    rng = np.random.default_rng(61)
-    for _ in range(40):
-        n = int(rng.integers(2, 7))
-        a = random_nonnegative(rng, n)
-        rho = rho_nonnegative(a).value
-        assert B.cassini_contains(a, rho)
-
-
-def test_cassini_boundary_inclusive():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert B.cassini_contains(a, 1.0)  # |z|^2 == c_1 c_2 exactly
-
-
-def test_cassini_outside():
-    a = np.array([[1.0, 0.1], [0.1, 1.0]])
-    assert not B.cassini_contains(a, 5.0)
-
-
-def test_cassini_order_one_rejected():
-    with pytest.raises(ValueError, match="n >= 2"):
-        B.cassini_contains(np.array([[1.0]]), 1.0)
+    # two factors against one exponent: evaluate checks the count
+    with pytest.raises(ValueError, match="expected 1 factors, got 2"):
+        FAMILIES["multi-fan"].evaluate(fan_pair, B.HolderExponents((1,)))
 
 
 # --- conditional ordering of the two upper ovals ----------------------------
@@ -480,14 +463,14 @@ ROWMAX_CE_B = np.array([
 
 def test_rowmax_hypothesis_does_not_force_oval_ordering():
     a, b = ROWMAX_CE_A, ROWMAX_CE_B
-    ra = rho_nonnegative(a).value
-    rb = rho_nonnegative(b).value
-    rung = B.rho_bound_oval_rowmax(a, b, ra, rb)
+    oracle, rungs = evaluate("hadamard", [a, b])
+    rung = rungs["rho_oval_rowmax"]
+    ra, rb = rung.components["rho_a"], rung.components["rho_b"]
+    assert ra == pytest.approx(rho_nonnegative(a).value, rel=1e-12)
     assert np.all(np.array(rung.components["s"]) + np.diag(a) >= ra - 1e-12)
     assert np.all(np.array(rung.components["t"]) + np.diag(b) >= rb - 1e-12)
     rowmax = rung.value
-    deficit = B.rho_bound_oval_deficit(a, b, ra, rb).value
+    deficit = rungs["rho_oval_deficit"].value
     assert rowmax > deficit + 0.05
     # both remain valid upper bounds regardless
-    oracle = rho_nonnegative(hadamard(a, b)).value
     assert deficit >= oracle - 1e-10 and rowmax >= oracle - 1e-10

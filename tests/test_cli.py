@@ -406,6 +406,17 @@ def test_verify_overflowing_margin_exits_2(runner):
     assert res.stdout == ""
 
 
+def test_verify_fan_overflowing_chain_power_reports(runner):
+    # at margin 1e150 the oracle is about 1e300, and oracle^n of the
+    # determinant chain overflows: the power is inf, inf <= inf passes,
+    # and the suite reports instead of ending in a traceback
+    res = runner.invoke(main, ["verify", "fan", "--margin", "1e150",
+                               "--trials", "2", "--seed", "1",
+                               "--tol", "1e290"])
+    assert (res.exit_code, res.stderr) == (0, "")
+    assert "family=fan trials=2 violations=0" in res.stdout
+
+
 def test_verify_bad_order_range(runner):
     res = runner.invoke(main, ["verify", "fan", "--trials", "2",
                                "--order-min", "5", "--order-max", "2"])

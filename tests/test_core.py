@@ -1,4 +1,6 @@
 """Classification flags, entrywise products, and input validation."""
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +12,15 @@ from mbound.core import (as_matrix, classify, cyclic_permutation, fan_power,
                          scale_similarity)
 from mbound.errors import MatrixFormatError
 from conftest import random_m_matrix, random_nonnegative
+
+
+@pytest.mark.parametrize("module", ["mbound", "mbound.core",
+                                    "mbound.spectral", "mbound.bounds",
+                                    "mbound.harness"])
+def test_every_export_resolves(module):
+    # a deleted function must leave no stale name in any __all__
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_as_matrix_rejects_nonsquare():

@@ -90,6 +90,43 @@ def test_lemma_product_m_matrix_sparse_pair():
     assert lemma_product_m_matrix(a, b)
 
 
+@pytest.mark.parametrize("family, mats, p, message", [
+    ("fan", [[[1.0, np.nan], [0.0, 1.0]], np.eye(2)], None, "finite"),
+    ("hadamard", [np.ones((2, 3)), np.ones((2, 2))], None, "square"),
+    ("hadamard", [np.eye(2)] * 3, None, "expected 2 factors, got 3"),
+    ("hadamard-inverse", [np.eye(2)], None, "expected 2 factors, got 1"),
+    ("multi-fan", [np.eye(2)] * 3, (2, 2), "expected 2 factors, got 3"),
+    ("multi-fan", [np.eye(2)] * 2, None, "needs Hölder exponents")],
+    ids=["nonfinite", "nonsquare", "three-for-a-pair", "one-for-a-pair",
+         "count-differs-from-p", "no-exponents"])
+def test_evaluate_validates_its_factors(family, mats, p, message):
+    # evaluate is the way into a ladder from outside a suite: every factor
+    # goes through as_matrix, and a wrong count is an error, not truncated
+    exponents = None if p is None else HolderExponents(p)
+    with pytest.raises(ValueError, match=message):
+        harness.FAMILIES[family].evaluate(mats, exponents)
+
+
+def test_multi_fan_suite_needs_exponents():
+    spec = GeneratorSpec(kind="m_matrix", order=2, density=1.0, seed=0)
+    with pytest.raises(ValueError, match="needs Hölder exponents"):
+        harness.run_suite(harness.FAMILIES["multi-fan"], 2, spec)
+
+
+@pytest.mark.parametrize("family", ["hadamard", "fan"])
+def test_det_chains_pass_where_a_power_overflows(family):
+    # the worked pair scaled by 1e100 has an oracle near 1e200, so
+    # oracle^n and numpy's determinant overflow: both are inf, and the
+    # chain holds instead of raising OverflowError or warning
+    fam = harness.FAMILIES[family]
+    mats = [1e100 * m for m in fam.worked]
+    solved = fam.solve([mats], None, checked=True)
+    lg, i, oracle, _, checks, *_ = fam.assess([mats], solved, None)[0]
+    lg.flush(i)
+    assert len(mats[0]) * np.log10(oracle) > 309  # oracle^n > float64 max
+    assert dict(checks)["det_chain"] is True
+
+
 def test_suite_reports_are_reproducible():
     spec = GeneratorSpec(kind="m_matrix", order=2, density=1.0, seed=11)
     r1 = run_fan_suite(6, spec, order_min=2, order_max=5)
