@@ -8,11 +8,10 @@ harness.
 """
 from .core import (MatrixClassification, as_matrix, classify,
                    cyclic_permutation, fan_power, fan_product, hadamard,
-                   perturb_cyclic, scale_similarity)
+                   perturb_cyclic)
 from .errors import (ClassMismatchError, ConvergenceError, MatrixFormatError,
                      MboundError, SingularMatrixError)
-from .spectral import (SpectralResult, inverse, jacobi_radius,
-                       rho_nonnegative, tau_m_matrix)
+from .spectral import SpectralResult, rho_nonnegative, tau_m_matrix
 from .bounds import BoundResult, HolderExponents
 from .harness import (FAMILIES, Family, GeneratorSpec, TrialReport,
                       gen_m_matrix, gen_nonnegative, lemma_product_m_matrix,
@@ -25,14 +24,12 @@ __all__ = [
     "__version__",
     # classification / products
     "MatrixClassification", "as_matrix", "classify", "hadamard",
-    "fan_product", "fan_power", "scale_similarity", "cyclic_permutation",
-    "perturb_cyclic",
+    "fan_product", "fan_power", "cyclic_permutation", "perturb_cyclic",
     # errors
     "MboundError", "MatrixFormatError", "ClassMismatchError",
     "SingularMatrixError", "ConvergenceError",
     # spectral
     "SpectralResult", "rho_nonnegative", "tau_m_matrix",
-    "jacobi_radius", "inverse",
     # bounds
     "BoundResult", "HolderExponents",
     # harness

@@ -71,11 +71,35 @@ def inverse(a: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _m_eliminate(a: np.ndarray):
+    """``m_factor``'s elimination: (lu, ok, lost), with ``lost`` listing
+    the slices that failed at a non-finite pivot."""
+    n = a.shape[1]
+    lu = a.astype(np.float64, copy=True)
+    floor = M_PIVOT_REL * np.diagonal(a, axis1=1, axis2=2)
+    ok = ~np.any((lu > 0.0) & ~np.eye(n, dtype=bool), axis=(1, 2))
+    lost = []
+    live = np.flatnonzero(ok)
+    work = lu[live]
+    for j in range(n):
+        piv = work[:, j, j]
+        passed = piv > floor[live, j]
+        if not passed.all():
+            ok[live[~passed]] = False
+            lost += live[~passed & ~np.isfinite(piv)].tolist()
+            live, work, piv = live[passed], work[passed], piv[passed]
+        work[:, j + 1:, j] /= piv[:, None]
+        work[:, j + 1:, j + 1:] -= (work[:, j + 1:, j, None]
+                                    * work[:, j, None, j + 1:])
+    lu[live] = work
+    return lu, ok, lost
+
+
 def m_factor(a: np.ndarray):
     """Unpivoted A = LU of each slice of a (k, n, n) stack of Z-matrices.
 
-    Returns (lu, ok): ``lu`` packs each slice's factors and ``ok[i]`` says
-    whether slice i is a nonsingular M-matrix.  A Z-matrix is one iff
+    Returns (lu, ok, d): ``lu`` packs each slice's factors and ``ok[i]``
+    says whether slice i is a nonsingular M-matrix.  A Z-matrix is one iff
     elimination without pivoting meets only positive pivots (Berman &
     Plemmons, ch. 6, Thm 2.3).  Each pivot is compared with M_PIVOT_REL
     times its row's original diagonal entry, so the test is dimensionless.
@@ -84,26 +108,25 @@ def m_factor(a: np.ndarray):
     the input.  Schur complements of a Z-matrix are Z-matrices, so L and
     the off-diagonal of U stay <= 0 in floating point as well.
 
+    The pivot test does not change under a positive row scaling, but the
+    multipliers of a badly row-scaled slice can leave float64 range.  A
+    slice that fails at a non-finite pivot is eliminated again, once, as
+    D⁻¹A with D its diagonal: its ``lu`` packs the factors of D⁻¹A and its
+    row of ``d`` is that diagonal, so A⁻¹ is the inverse from ``lu`` with
+    column j divided by d_j (a retried slice that fails keeps D⁻¹A as its
+    ``lu``).  Every other row of ``d`` is ones.  No floating-point warning
+    is raised.
+
     The elimination is elementwise, so every slice gets the same bits as
     a stack of one.
     """
-    n = a.shape[1]
-    lu = a.astype(np.float64, copy=True)
-    floor = M_PIVOT_REL * np.diagonal(a, axis1=1, axis2=2)
-    ok = ~np.any((lu > 0.0) & ~np.eye(n, dtype=bool), axis=(1, 2))
-    live = np.flatnonzero(ok)
-    work = lu[live]
-    for j in range(n):
-        piv = work[:, j, j]
-        passed = piv > floor[live, j]
-        if not passed.all():
-            ok[live[~passed]] = False
-            live, work, piv = live[passed], work[passed], piv[passed]
-        work[:, j + 1:, j] /= piv[:, None]
-        work[:, j + 1:, j + 1:] -= (work[:, j + 1:, j, None]
-                                    * work[:, j, None, j + 1:])
-    lu[live] = work
-    return lu, ok
+    d = np.ones(a.shape[:2])
+    with np.errstate(all="ignore"):
+        lu, ok, lost = _m_eliminate(a)
+        if lost:
+            d[lost] = np.diagonal(a[lost], axis1=1, axis2=2)
+            lu[lost], ok[lost], _ = _m_eliminate(a[lost] / d[lost, :, None])
+    return lu, ok, d
 
 
 def m_inverse(lu: np.ndarray) -> np.ndarray:

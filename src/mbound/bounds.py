@@ -57,7 +57,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import _offdiag_abs, _scale_similarity, classify
+from .core import _offdiag_abs, _scale_similarity
 
 __all__ = ["BoundResult", "HolderExponents"]
 
@@ -377,12 +377,13 @@ def _tau_hinv_jacobi_ratio(a, b, rho_ja, rho_jb, lg: _Log) -> _Rungs:
                    "argmin": i, "ratio": "a_ii/b_ii"})
 
 
-def _dominance_scaling(b, binv, lg: _Log) -> DominanceScaling:
+def _dominance_scaling(b, binv, dominant, lg: _Log) -> DominanceScaling:
     """The scaling of each slice of b, with d formed from the slice of
     binv; a slice whose d is not positive fails and goes on unscaled.
-    ``classify`` is asked per slice whether b is already dominant."""
+    ``dominant`` says per slice whether b is already strictly row
+    dominant, and such a slice is left as it is."""
     k, n, _ = b.shape
-    applied = np.array([not classify(x).strictly_row_dd for x in b])
+    applied = ~np.asarray(dominant, dtype=bool)
     d = np.ones((k, n))
     if applied.any():
         d[applied] = (binv[applied] @ np.ones((n, 1)))[:, :, 0]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -207,16 +206,6 @@ def _load(path: str) -> np.ndarray:
         _fail(EXIT_INPUT, str(exc))
 
 
-def _seed_default() -> int:
-    env = os.environ.get("MBOUND_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            _fail(EXIT_INPUT, f"MBOUND_SEED is not an integer: {env!r}")
-    return 0
-
-
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["table", "tsv", "jsonl"]),
     default="table", show_default=True, help="Report format.")
@@ -284,16 +273,16 @@ def cmd_spectral(which, file, fmt):
 def cmd_bounds(family, files, p_spec, tol, fmt):
     """Evaluate one bound family against its oracle on explicit files.
 
-    hadamard, fan and hadamard-inverse take exactly two files; multi-fan
-    takes one or more (the --p list must match the file count).
+    hadamard, fan and hadamard-inverse take exactly two files and no --p;
+    multi-fan takes one or more (the --p list must match the file count).
     """
-    if family != "multi-fan" and len(files) != 2:
+    fam = harness.FAMILIES[family]
+    if not fam.holder and len(files) != 2:
         _fail(EXIT_INPUT, f"family {family} takes exactly two matrix files")
     mats = [_load(f) for f in files]
     exponents = None
-    if family == "multi-fan":
+    if fam.holder or p_spec is not None:
         exponents = _parse_exponents(p_spec, len(mats))
-    fam = harness.FAMILIES[family]
     with _exit_codes():
         oracle, ladder = fam.evaluate(mats, exponents)
         rows = [{"bound": br.name, "direction": br.direction,
@@ -333,8 +322,8 @@ def _parse_exponents(p_spec: Optional[str], m: int) -> bnd.HolderExponents:
 @main.command("verify")
 @click.argument("family", type=click.Choice(list(harness.FAMILIES)))
 @click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--seed", type=int, default=None,
-              help="RNG seed (default: MBOUND_SEED env var, else 0).")
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="RNG seed.")
 @click.option("--order-min", type=int, default=2, show_default=True)
 @click.option("--order-max", type=int, default=8, show_default=True)
 @click.option("--density", type=float, default=1.0, show_default=True)
@@ -352,18 +341,15 @@ def _parse_exponents(p_spec: Optional[str], m: int) -> bnd.HolderExponents:
 def cmd_verify(family, trials, seed, order_min, order_max, density, margin,
                p_spec, with_examples, tol, fmt):
     """Run a randomized suite and exit 0 iff it reports zero violations."""
-    if seed is None:
-        seed = _seed_default()
     fam = harness.FAMILIES[family]
     with _exit_codes():
         spec = harness.GeneratorSpec(kind=fam.kind, order=order_min,
                                      density=density, seed=seed,
                                      diagonal_margin=margin)
-        exponents = None
-        if family == "multi-fan":
-            if p_spec is None:
-                _fail(EXIT_INPUT, "multi-fan needs --p")
-            exponents = _parse_exponents(p_spec, len(p_spec.split(",")))
+        if fam.holder and p_spec is None:
+            _fail(EXIT_INPUT, f"{family} needs --p")
+        exponents = (None if p_spec is None
+                     else _parse_exponents(p_spec, len(p_spec.split(","))))
         reports = harness.run_suite(
             fam, trials, spec, order_min=order_min, order_max=order_max,
             with_examples=with_examples, exponents=exponents, tol=tol)

@@ -21,7 +21,6 @@ __all__ = [
     "fan_product",
     "fan_power",
     "classify",
-    "scale_similarity",
     "cyclic_permutation",
     "perturb_cyclic",
 ]
@@ -197,18 +196,6 @@ def _scale_similarity(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """D^-1 A D of a matrix, or of each slice of a stack with d one row
     per slice."""
     return a * (d[..., None, :] / d[..., :, None])
-
-
-def scale_similarity(a, d) -> np.ndarray:
-    """Diagonal similarity D^-1 A D with D = diag(d); preserves the spectrum
-    and the nonzero pattern, leaves the diagonal untouched."""
-    a = as_matrix(a)
-    d = np.asarray(d, dtype=np.float64)
-    if d.shape != (a.shape[0],):
-        raise ValueError("order mismatch")
-    if np.any(d <= 0.0):
-        raise ValueError("scaling vector must be strictly positive")
-    return _scale_similarity(a, d)
 
 
 def cyclic_permutation(n: int) -> np.ndarray:

@@ -42,10 +42,10 @@ import numpy as np
 
 from . import _lu, bounds, spectral
 from .bounds import _diag
-from .core import (_by_order, _fan_power, _fan_product, _hadamard,
-                   _scale_similarity, as_matrix, hadamard)
+from .core import (_by_order, _fan_power, _fan_product, _finite, _hadamard,
+                   _scale_similarity, as_matrix, classify, hadamard)
 from .errors import ClassMismatchError, MboundError, unwrap
-from .spectral import _jacobi_matrix, _m_inverse
+from .spectral import _jacobi_matrix, _m_inverses
 
 __all__ = [
     "GeneratorSpec",
@@ -177,7 +177,7 @@ def _shift_to_m(ps, margin: float) -> list:
         idx = [i for i in idx if not isinstance(out[i], Exception)]
         if not idx:
             continue
-        _, ok = _lu.m_factor(np.stack([out[i] for i in idx]))
+        ok = _lu.m_factor(np.stack([out[i] for i in idx]))[1]
         for i, good in zip(idx, ok.tolist()):
             if not good:
                 out[i] = ClassMismatchError(
@@ -189,7 +189,8 @@ def lemma_product_m_matrix(a, b) -> bool:
     """Closure check: the entrywise product of b with a's inverse is again
     a nonsingular M-matrix.  a⁻¹ comes from the M-matrix gate, whose exact
     zeros keep b's Z-pattern; an a that fails the gate raises."""
-    return bool(_lu.m_factor(hadamard(b, _m_inverse(a))[None])[1][0])
+    ainv = unwrap(_m_inverses(as_matrix(a)[None])[0])
+    return bool(_lu.m_factor(hadamard(b, ainv)[None])[1][0])
 
 
 # ----------------------------------------------------------------------
@@ -355,8 +356,11 @@ class Family:
 
     def arity(self, exponents) -> int:
         """The factor count of one product: one per exponent for a
-        ``holder`` family, which needs exponents, and two for the others."""
+        ``holder`` family, which needs exponents, and two for the others,
+        which take none."""
         if not self.holder:
+            if exponents is not None:
+                raise ValueError("this family takes no Hölder exponents")
             return 2
         if exponents is None:
             raise ValueError("this family needs Hölder exponents")
@@ -545,22 +549,28 @@ def _fan_checks(mats, exponents, oracle, ladder, ctx, lg):
 
 
 def _hinv_problems(mats, exponents, todo):
+    """B's class comes from one ``classify``, which gates B and says
+    whether B is already strictly row dominant.  B⁻¹ is the pivoted
+    inverse; one that overflows raises as an M-matrix inverse does."""
     a, b = mats
     binv = _lu.inverse(b)
-    todo += [("tau", a), ("tau", b)]
+    todo.append(("tau", a))
+    cls = classify(b)
+    if not cls.nonsingular_m_matrix:
+        raise ClassMismatchError("not a nonsingular M-matrix")
+    _finite(binv, "inverse of this M-matrix")
     todo.append(("rho", _jacobi_matrix(a)))
     todo.append(("rho", _jacobi_matrix(b)))
     prod = _hadamard(a, binv)
     todo.append(("tau", prod))
-    return {"prod": prod, "binv": binv}
+    return {"prod": prod, "binv": binv, "dominant": cls.strictly_row_dd}
 
 
 def _hinv_ladder(mats, exponents, values, ctx, lg):
-    """τ(B) is solved as B's class gate; no rung reads it."""
     a, b = mats
     binv = ctx["binv"]
-    tau_a, _, rho_ja, rho_jb, oracle = values.T
-    scaling = bounds._dominance_scaling(b, binv, lg)
+    tau_a, rho_ja, rho_jb, oracle = values.T
+    scaling = bounds._dominance_scaling(b, binv, ctx["dominant"], lg)
     ladder = (
         bounds._tau_hinv_diag_floor(tau_a, binv, lg),
         bounds._tau_hinv_jacobi_ratio(a, b, rho_ja, rho_jb, lg),

@@ -1,4 +1,4 @@
-"""Perron roots, minimum M-matrix eigenvalues, Jacobi radii and inverses.
+"""Perron roots, minimum M-matrix eigenvalues and Jacobi matrices.
 
 The spectral radius of a nonnegative matrix is computed by power iteration
 with a Collatz–Wielandt bracket; no library eigensolver is involved, so the
@@ -28,8 +28,6 @@ __all__ = [
     "SpectralResult",
     "rho_nonnegative",
     "tau_m_matrix",
-    "inverse",
-    "jacobi_radius",
     "solve",
 ]
 
@@ -193,10 +191,11 @@ def _m_inverses(a: np.ndarray) -> list:
     elimination that is also the M-matrix gate (entrywise >= 0, exactly 0
     wherever the digraph of the slice has no path), or the error it
     raises: ClassMismatchError for a slice that fails the gate, ValueError
-    for an inverse that overflows float64."""
-    lu, ok = _lu.m_factor(a)
+    for an inverse that overflows float64.  A row-equilibrated slice has
+    its inverse columns divided by its ``d`` (``_lu.m_factor``)."""
+    lu, ok, d = _lu.m_factor(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        inv = _lu.m_inverse(lu[ok])
+        inv = _lu.m_inverse(lu[ok]) / d[ok][:, None, :]
     finite = np.isfinite(inv).all(axis=(1, 2)).tolist()
     out = []
     j = 0
@@ -263,16 +262,6 @@ def tau_m_matrix(a) -> SpectralResult:
     return unwrap(solve([("tau", as_matrix(a))])[0])
 
 
-def inverse(a) -> np.ndarray:
-    """Matrix inverse via LU with partial pivoting."""
-    return _lu.inverse(as_matrix(a))
-
-
-def _m_inverse(a) -> np.ndarray:
-    """a⁻¹ of a nonsingular M-matrix, from ``_m_inverses``."""
-    return unwrap(_m_inverses(as_matrix(a)[None])[0])
-
-
 def _jacobi_matrix(a: np.ndarray) -> np.ndarray:
     """I - D^-1 A (D = diagonal part); ValueError on a zero diagonal entry."""
     d = np.diag(a)
@@ -281,12 +270,3 @@ def _jacobi_matrix(a: np.ndarray) -> np.ndarray:
     j = -a / d[:, None]
     np.fill_diagonal(j, 0.0)
     return j
-
-
-def jacobi_radius(a) -> float:
-    """Spectral radius of I - D^-1 A (D = diagonal part).
-
-    Needs nonzero diagonal; for matrices with nonpositive off-diagonal and
-    positive diagonal the iteration matrix is nonnegative.
-    """
-    return rho_nonnegative(_jacobi_matrix(as_matrix(a))).value

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from mbound._lu import inverse
 from mbound.bounds import HolderExponents
 from mbound.cli import main
 from mbound.harness import (GOLDEN, GOLDEN_TOL_CHAIN, GOLDEN_TOL_DIRECT,
@@ -27,7 +28,7 @@ from mbound.harness import (GOLDEN, GOLDEN_TOL_CHAIN, GOLDEN_TOL_DIRECT,
                             lemma_product_m_matrix, run_fan_suite,
                             run_hadamard_suite, run_hinv_suite,
                             run_multi_fan_suite)
-from mbound.spectral import inverse, rho_nonnegative, tau_m_matrix
+from mbound.spectral import rho_nonnegative, tau_m_matrix
 from conftest import random_m_matrix, random_nonnegative, row_chain
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")

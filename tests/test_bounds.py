@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbound import bounds as B
+from mbound._lu import inverse
 from mbound.core import fan_power
 from mbound.harness import FAMILIES
-from mbound.spectral import inverse, jacobi_radius, rho_nonnegative, tau_m_matrix
+from mbound.spectral import _jacobi_matrix, rho_nonnegative, tau_m_matrix
 from conftest import random_m_matrix, random_nonnegative, row_chain
 
 RHO_A = 5.733861558170684
@@ -223,8 +224,10 @@ def test_hinv_ladder_reference_values(hinv_pair):
     a, b = hinv_pair
     _, rungs = evaluate("hadamard-inverse", hinv_pair)
     ratio = rungs["tau_hinv_jacobi_ratio"].components
-    assert ratio["rho_ja"] == pytest.approx(jacobi_radius(a), abs=1e-12)
-    assert ratio["rho_jb"] == pytest.approx(jacobi_radius(b), abs=1e-12)
+    assert ratio["rho_ja"] == pytest.approx(
+        rho_nonnegative(_jacobi_matrix(a)).value, abs=1e-12)
+    assert ratio["rho_jb"] == pytest.approx(
+        rho_nonnegative(_jacobi_matrix(b)).value, abs=1e-12)
     assert ratio["rho_ja"] == pytest.approx(0.8090169943749471, abs=1e-10)
     assert ratio["rho_jb"] == pytest.approx(0.7651617568885356, abs=1e-10)
     assert rungs["tau_hinv_diag_floor"].components["tau_a"] == pytest.approx(

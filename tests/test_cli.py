@@ -184,6 +184,22 @@ def test_spectral_tau_overflowing_inverse_exits_2(runner, tmp_path):
     assert "Traceback" not in res.output
 
 
+def test_badly_row_scaled_m_matrix(runner, tmp_path):
+    # diag(1e-200, 1e200)·[[1, -0.1], [-1e-50, 1]]: the first multiplier of
+    # the M-matrix elimination overflows, so the gate eliminates D⁻¹A
+    path = str(tmp_path / "scaled.txt")
+    write_matrix(np.array([[1e-200, -1e-201], [-1e150, 1e200]]), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = runner.invoke(main, ["classify", path])
+        tau = runner.invoke(main, ["spectral", "tau", path])
+    assert res.exit_code == 0
+    assert "nonsingular_m_matrix: true" in res.output
+    assert tau.exit_code == 0
+    line = [l for l in tau.output.splitlines() if l.startswith("tau:")][0]
+    assert float(line.split()[1]) == pytest.approx(1e-200, rel=1e-12)
+
+
 @pytest.mark.parametrize("family,pair,p", [
     ("hadamard", (WORKED_HADAMARD_A, WORKED_HADAMARD_B), []),
     ("fan", (WORKED_FAN_A, WORKED_FAN_B), []),
@@ -281,6 +297,31 @@ def test_bounds_multi_fan_exponents(runner):
     assert rows[-1]["value"] == pytest.approx(0.6980, abs=5e-3)
 
 
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+@pytest.mark.parametrize("family, stem", [
+    ("hadamard", "ex21"), ("fan", "ex31"), ("hadamard-inverse", "ex41")])
+def test_pair_family_rejects_p(runner, command, family, stem):
+    files = ([fixture(stem + "_a.txt"), fixture(stem + "_b.txt")]
+             if command == "bounds" else ["--trials", "2"])
+    res = runner.invoke(main, [command, family, *files, "--p", "2,2"])
+    assert res.exit_code == 2
+    assert "takes no Hölder exponents" in res.stderr
+
+
+@pytest.mark.parametrize("scale, code, message", [
+    (1e-320, 2, "the inverse of this M-matrix overflows"),
+    (1.0, 3, "not a nonsingular M-matrix")])
+def test_bounds_hinv_step_order(runner, tmp_path, scale, code, message):
+    # B is nonsingular but not an M-matrix: A's own error comes first, and
+    # a valid A meets B's class gate
+    a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+    write_matrix(scale * np.eye(2), a)
+    write_matrix(np.array([[1.0, 2.0], [3.0, 1.0]]), b)
+    res = runner.invoke(main, ["bounds", "hadamard-inverse", a, b])
+    assert res.exit_code == code
+    assert f"error: {message}" in res.stderr
+
+
 def test_bounds_multi_fan_bad_exponents(runner):
     res = runner.invoke(main, ["bounds", "multi-fan", fixture("ex31_a.txt"),
                                fixture("ex31_b.txt"), "--p", "3,4"])
@@ -364,18 +405,11 @@ def test_verify_multi_fan_requires_p_or_m(runner):
     assert res.exit_code == 2
 
 
-def test_verify_env_seed_fallback(runner, monkeypatch):
-    monkeypatch.setenv("MBOUND_SEED", "3")
-    with_env = runner.invoke(main, ["verify", "hadamard", "--trials", "3",
-                                    "--format", "jsonl"])
-    explicit = runner.invoke(main, ["verify", "hadamard", "--trials", "3",
-                                    "--seed", "3", "--format", "jsonl"])
-    assert with_env.output == explicit.output
-    # the flag wins over the environment
-    monkeypatch.setenv("MBOUND_SEED", "999")
-    flagged = runner.invoke(main, ["verify", "hadamard", "--trials", "3",
-                                   "--seed", "3", "--format", "jsonl"])
-    assert flagged.output == explicit.output
+def test_verify_seed_defaults_to_zero(runner):
+    assert "[default: 0]" in runner.invoke(main, ["verify", "--help"]).output
+    args = ["verify", "hadamard", "--trials", "3", "--format", "jsonl"]
+    assert (runner.invoke(main, args).output
+            == runner.invoke(main, [*args, "--seed", "0"]).output)
 
 
 @pytest.mark.parametrize("args", [

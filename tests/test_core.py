@@ -3,13 +3,13 @@ import importlib
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mbound.core import (as_matrix, classify, cyclic_permutation, fan_power,
-                         fan_product, hadamard, perturb_cyclic,
-                         scale_similarity)
+from mbound.core import (_scale_similarity, as_matrix, classify,
+                         cyclic_permutation, fan_power, fan_product, hadamard,
+                         perturb_cyclic)
 from mbound.errors import MatrixFormatError
 from conftest import random_m_matrix, random_nonnegative
 
@@ -115,14 +115,9 @@ def test_fan_power_rejects_bad_exponent(fan_pair):
 def test_scale_similarity_preserves_diagonal():
     a = np.array([[2.0, -1.0], [-0.5, 3.0]])
     d = np.array([1.0, 4.0])
-    s = scale_similarity(a, d)
+    s = _scale_similarity(a, d)
     np.testing.assert_allclose(np.diag(s), np.diag(a))
     np.testing.assert_allclose(s[0, 1], a[0, 1] * d[1] / d[0])
-
-
-def test_scale_similarity_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        scale_similarity(np.eye(2), np.array([1.0, 0.0]))
 
 
 def test_cyclic_permutation_pattern():
@@ -180,6 +175,40 @@ def test_classify_scale_invariant(n, seed, density, s):
     for a in (random_m_matrix(rng, n, density=density),
               random_nonnegative(rng, n, density)):
         assert classify(s * a) == classify(a)
+
+
+row_exponents = st.lists(st.floats(-150.0, 150.0), min_size=6, max_size=6)
+spreads = st.lists(st.floats(-6.0, 6.0), min_size=6, max_size=6)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(n=st.integers(2, 6), seed=st.integers(0, 10 ** 6),
+       u=st.sampled_from([0.5, 0.9, 1.1, 2.0]), g=spreads, e=row_exponents)
+@example(n=2, seed=0, u=2.0, g=[-6.0, 6.0, 0.0, 0.0, 0.0, 0.0],
+         e=[-150.0, 150.0, 0.0, 0.0, 0.0, 0.0])
+@settings(max_examples=150, deadline=None)
+def test_classify_row_scale_invariant(n, seed, u, g, e):
+    # the pivot test does not change under a positive row scaling D, but
+    # the first multipliers of D·A can leave float64 range (the example:
+    # 1e300 times 1e12).  A = S(cI − P)S⁻¹ spreads the off-diagonal
+    # magnitudes over 12 decades and keeps the pivots of cI − P, which is
+    # an M-matrix iff u = c/rho(P) > 1 and is drawn away from the floor
+    rng = np.random.default_rng(seed)
+    p = random_nonnegative(rng, n)
+    np.fill_diagonal(p, 0.0)
+    a0 = u * float(np.max(np.abs(np.linalg.eigvals(p)))) * np.eye(n) - p
+    minors = [1.0] + [np.linalg.det(a0[:k, :k]) for k in range(1, n + 1)]
+    for k in range(n):
+        piv = minors[k + 1] / minors[k]
+        assume(abs(piv) > 1e-6 * a0[k, k])
+        if piv < 0.0:
+            break
+    s = 10.0 ** np.array(g[:n])
+    a = a0 * s[:, None] / s[None, :]
+    m = classify(a).nonsingular_m_matrix
+    assert m == (u > 1.0)
+    d = 10.0 ** np.array(e[:n])
+    assert classify(d[:, None] * a).nonsingular_m_matrix == m
 
 
 def test_classify_scaled_dominant_m_matrix():

@@ -96,9 +96,10 @@ def test_lemma_product_m_matrix_sparse_pair():
     ("hadamard", [np.eye(2)] * 3, None, "expected 2 factors, got 3"),
     ("hadamard-inverse", [np.eye(2)], None, "expected 2 factors, got 1"),
     ("multi-fan", [np.eye(2)] * 3, (2, 2), "expected 2 factors, got 3"),
-    ("multi-fan", [np.eye(2)] * 2, None, "needs Hölder exponents")],
+    ("multi-fan", [np.eye(2)] * 2, None, "needs Hölder exponents"),
+    ("fan", [np.eye(2)] * 2, (2, 2), "takes no Hölder exponents")],
     ids=["nonfinite", "nonsquare", "three-for-a-pair", "one-for-a-pair",
-         "count-differs-from-p", "no-exponents"])
+         "count-differs-from-p", "no-exponents", "exponents-for-a-pair"])
 def test_evaluate_validates_its_factors(family, mats, p, message):
     # evaluate is the way into a ladder from outside a suite: every factor
     # goes through as_matrix, and a wrong count is an error, not truncated
@@ -111,6 +112,14 @@ def test_multi_fan_suite_needs_exponents():
     spec = GeneratorSpec(kind="m_matrix", order=2, density=1.0, seed=0)
     with pytest.raises(ValueError, match="needs Hölder exponents"):
         harness.run_suite(harness.FAMILIES["multi-fan"], 2, spec)
+
+
+@pytest.mark.parametrize("family", ["hadamard", "fan", "hadamard-inverse"])
+def test_pair_suite_rejects_exponents(family):
+    fam = harness.FAMILIES[family]
+    spec = GeneratorSpec(kind=fam.kind, order=2, density=1.0, seed=0)
+    with pytest.raises(ValueError, match="takes no Hölder exponents"):
+        harness.run_suite(fam, 2, spec, exponents=HolderExponents((1, 1)))
 
 
 @pytest.mark.parametrize("family", ["hadamard", "fan"])
