@@ -2,11 +2,12 @@
 
 Two kernels live here.  ``lu_factor`` eliminates with partial pivoting
 and serves general matrices; ``inverse`` reads its factors.  ``m_factor``/
-``m_inverse`` eliminate Z-matrices without pivoting: that is the
-nonsingular M-matrix gate (all pivots positive) and, from the same packed
-factors, an inverse that is entrywise >= 0 with exact structural zeros.
-They take a (k, n, n) stack, loop over the pivot index and vectorize over
-k; a single matrix is a stack of one.
+``m_inverse`` eliminate Z-matrices without pivoting, each one equilibrated
+as E·A·E with E a diagonal of powers of two: that is the nonsingular
+M-matrix gate (all pivots positive) at every scale and, from the same
+packed factors, an inverse that is entrywise >= 0 with exact structural
+zeros.  They take a (k, n, n) stack, loop over the pivot index and
+vectorize over k; a single matrix is a stack of one.
 """
 from __future__ import annotations
 
@@ -71,77 +72,65 @@ def inverse(a: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _m_eliminate(a: np.ndarray):
-    """``m_factor``'s elimination: (lu, ok, lost), with ``lost`` listing
-    the slices that failed at a non-finite pivot."""
-    n = a.shape[1]
-    lu = a.astype(np.float64, copy=True)
-    floor = M_PIVOT_REL * np.diagonal(a, axis1=1, axis2=2)
-    ok = ~np.any((lu > 0.0) & ~np.eye(n, dtype=bool), axis=(1, 2))
-    lost = []
-    live = np.flatnonzero(ok)
-    work = lu[live]
-    for j in range(n):
-        piv = work[:, j, j]
-        passed = piv > floor[live, j]
-        if not passed.all():
-            ok[live[~passed]] = False
-            lost += live[~passed & ~np.isfinite(piv)].tolist()
-            live, work, piv = live[passed], work[passed], piv[passed]
-        work[:, j + 1:, j] /= piv[:, None]
-        work[:, j + 1:, j + 1:] -= (work[:, j + 1:, j, None]
-                                    * work[:, j, None, j + 1:])
-    lu[live] = work
-    return lu, ok, lost
-
-
 def m_factor(a: np.ndarray):
-    """Unpivoted A = LU of each slice of a (k, n, n) stack of Z-matrices.
+    """Unpivoted LU of E·A·E for each slice A of a (k, n, n) stack of
+    Z-matrices, with E = diag(a_ii)^(-1/2) rounded to powers of two.
 
-    Returns (lu, ok, d): ``lu`` packs each slice's factors and ``ok[i]``
-    says whether slice i is a nonsingular M-matrix.  A Z-matrix is one iff
-    elimination without pivoting meets only positive pivots (Berman &
-    Plemmons, ch. 6, Thm 2.3).  Each pivot is compared with M_PIVOT_REL
-    times its row's original diagonal entry, so the test is dimensionless.
-    A slice with a positive off-diagonal entry or a failed pivot leaves
-    the stack and no further arithmetic touches it; its ``lu`` slice is
-    the input.  Schur complements of a Z-matrix are Z-matrices, so L and
-    the off-diagonal of U stay <= 0 in floating point as well.
-
-    The pivot test does not change under a positive row scaling, but the
-    multipliers of a badly row-scaled slice can leave float64 range.  A
-    slice that fails at a non-finite pivot is eliminated again, once, as
-    D⁻¹A with D its diagonal: its ``lu`` packs the factors of D⁻¹A and its
-    row of ``d`` is that diagonal, so A⁻¹ is the inverse from ``lu`` with
-    column j divided by d_j (a retried slice that fails keeps D⁻¹A as its
-    ``lu``).  Every other row of ``d`` is ones.  No floating-point warning
-    is raised.
-
-    The elimination is elementwise, so every slice gets the same bits as
-    a stack of one.
+    Returns (lu, ok, e): ``lu`` packs the factors of E·A·E, ``ok[i]`` says
+    whether slice i is a nonsingular M-matrix, and ``e`` holds each
+    slice's E.  A Z-matrix is one iff elimination without pivoting meets
+    only positive pivots (Berman & Plemmons, ch. 6, Thm 2.3), and E·A·E is
+    one iff A is.  Each pivot must exceed M_PIVOT_REL times its own
+    diagonal entry, which lies in [1/4, 1), so the test is dimensionless.
+    A row or column scaling S of A acts on E·A·E as a diagonal similarity
+    by about S^(1/2): the pivots stay, and each multiplier and update
+    moves by at most the square root of the scale ratios, so a badly
+    scaled A neither overflows nor underflows where its own elimination
+    would.  Scaling by powers of two is exact, so where A's own elimination
+    stays in range these factors are its factors scaled by E, bit for bit.
+    A slice with a positive off-diagonal entry, a nonpositive diagonal
+    entry or a failed pivot leaves the stack.  Schur complements of a
+    Z-matrix are Z-matrices, so L and the off-diagonal of U stay <= 0 in
+    floating point as well.  No floating-point warning is raised, and
+    every slice gets the same bits as a stack of one.
     """
-    d = np.ones(a.shape[:2])
+    n = a.shape[1]
+    # a Z-matrix with a positive diagonal: a > 0 exactly on the diagonal
+    ok = ~np.any((a > 0.0) != np.eye(n, dtype=bool), axis=(1, 2))
+    e = np.ldexp(1.0, np.frexp(np.diagonal(a, axis1=1, axis2=2))[1] // -2)
     with np.errstate(all="ignore"):
-        lu, ok, lost = _m_eliminate(a)
-        if lost:
-            d[lost] = np.diagonal(a[lost], axis1=1, axis2=2)
-            lu[lost], ok[lost], _ = _m_eliminate(a[lost] / d[lost, :, None])
-    return lu, ok, d
+        lu = a * e[:, :, None] * e[:, None, :]
+        floor = M_PIVOT_REL * np.diagonal(lu, axis1=1, axis2=2)
+        live = np.flatnonzero(ok)
+        work = lu[live]
+        for j in range(n):
+            piv = work[:, j, j]
+            passed = piv > floor[live, j]
+            if not passed.all():
+                ok[live[~passed]] = False
+                live, work, piv = live[passed], work[passed], piv[passed]
+            work[:, j + 1:, j] /= piv[:, None]
+            work[:, j + 1:, j + 1:] -= (work[:, j + 1:, j, None]
+                                        * work[:, j, None, j + 1:])
+    lu[live] = work
+    return lu, ok, e
 
 
-def m_inverse(lu: np.ndarray) -> np.ndarray:
-    """Inverses from a stack of ``m_factor``'s packed factors, all columns
-    at once.
+def m_inverse(lu: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """A⁻¹ = E·(E·A·E)⁻¹·E for each slice of a stack of ``m_factor``'s
+    packed factors and scalings, all columns at once.
 
     Every substitution step adds a product of two nonpositive numbers to a
     nonnegative one, so no cancellation occurs: each result is entrywise
     >= 0 and is exactly zero where the digraph of A has no path i -> j.
+    An entry beyond float64 range comes out non-finite, without a warning.
     """
     n = lu.shape[1]
-    x = np.broadcast_to(np.eye(n), lu.shape).copy()
-    for i in range(1, n):  # L Y = I, L unit lower
-        x[:, i] -= (lu[:, i, None, :i] @ x[:, :i])[:, 0]
-    for i in range(n - 1, -1, -1):  # U X = Y
-        x[:, i] -= (lu[:, i, None, i + 1:] @ x[:, i + 1:])[:, 0]
-        x[:, i] /= lu[:, i, i, None]
-    return x
+    x = np.eye(n) * e[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n):  # L Y = E, L unit lower
+            x[:, i] -= (lu[:, i, None, :i] @ x[:, :i])[:, 0]
+        for i in range(n - 1, -1, -1):  # U X = Y
+            x[:, i] -= (lu[:, i, None, i + 1:] @ x[:, i + 1:])[:, 0]
+            x[:, i] /= lu[:, i, i, None]
+        return x * e[:, :, None]

@@ -368,9 +368,7 @@ def _tau_hinv_jacobi_ratio(a, b, rho_ja, rho_jb, lg: _Log) -> _Rungs:
     on desk checks, so only this one is offered.
     """
     ratio, i = _pick(_diag(a) / _diag(b), upper=False)
-    # per slice in Python floats: their ** is not numpy's square
-    contraction = np.array([(1.0 - ja * jb) / (1.0 + jb ** 2) for ja, jb
-                            in zip(rho_ja.tolist(), rho_jb.tolist())])
+    contraction = (1.0 - rho_ja * rho_jb) / (1.0 + rho_jb * rho_jb)
     return _Rungs("tau_hinv_jacobi_ratio", "lower", contraction * ratio,
                   {"rho_ja": rho_ja, "rho_jb": rho_jb,
                    "contraction": contraction, "min_ratio": ratio,

@@ -171,9 +171,10 @@ def classify(a) -> MatrixClassification:
     """Compute all structural predicates for one matrix.
 
     The M-matrix test requires nonpositive off-diagonals plus positive
-    pivots in unpivoted elimination (``_lu.m_factor``), each pivot measured
-    against its own original diagonal entry, so the verdict does not
-    change when the matrix is scaled.
+    pivots in the unpivoted elimination of the equilibrated E·A·E
+    (``_lu.m_factor``), each pivot measured against its own diagonal
+    entry, so the verdict does not change when the matrix, its rows or its
+    columns are scaled.
     """
     a = as_matrix(a)
     n = a.shape[0]

@@ -145,9 +145,10 @@ def gen_m_matrix(spec: GeneratorSpec, rng: Optional[np.random.Generator] = None,
     """alpha*I − P with P nonnegative random and alpha = rho(P)(1+margin).
 
     A zero Perron root (acyclic pattern) would make the shift vanish, so
-    alpha floors at the margin itself — every elimination pivot is then
-    the margin.  The M-matrix gate of ``classify`` (``_lu.m_factor``) is
-    asserted on the result; failure raises rather than silently retrying.
+    alpha floors at the margin itself; P is then nilpotent and alpha*I − P
+    a nonsingular M-matrix.  The M-matrix gate of ``classify``
+    (``_lu.m_factor``) is asserted on the result; failure raises rather
+    than silently retrying.
     A margin so large that alpha overflows float64 raises ValueError.
     """
     if rng is None:

@@ -53,6 +53,7 @@ class SpectralResult:
 _SQUARINGS = 6  # power-iterate m^(2^6): same bracket, 64x the convergence rate
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _power_perron(a: np.ndarray, below=None):
     """Power iteration on the primitive shift a + cI, c = max entry of a,
     for each slice of a (k, n, n) stack.
@@ -72,9 +73,12 @@ def _power_perron(a: np.ndarray, below=None):
     reported residual is the final bracket width on that scale.  A slice
     also stops once its upper bracket, mapped back to a's root, is
     strictly below its entry of ``below``: a's root then cannot be the
-    larger one.  Slices that stop leave the stack.  The logarithms are
-    taken per slice with ``math``, and everything else is elementwise or a
-    per-slice product, so each slice gets the same bits as a stack of one.
+    larger one.  A slice whose bracket width is NaN stops with a
+    ConvergenceError at once: an entry of its iterate left float64 range,
+    and no later round can recover it.  Slices that stop leave the stack.
+    The logarithms are taken per slice with ``math``, and everything else
+    is elementwise or a per-slice product, so each slice gets the same bits
+    as a stack of one.
     """
     k, n, _ = a.shape
     c = a.max(axis=(1, 2))
@@ -105,10 +109,12 @@ def _power_perron(a: np.ndarray, below=None):
     lam_prev = np.full(k, np.inf)
     for it in range(1, MAX_ITER + 1):
         w = (m_pow @ v[:, :, None])[:, :, 0]
-        ratios = w / v  # v stays > 0: positive diagonal
+        ratios = w / v  # v > 0 unless an entry underflowed
         hi = ratios.max(axis=1)
         width = (hi - ratios.min(axis=1)) / hi
-        stop = (width <= width_tol) & (np.abs(hi - lam_prev) <= width_tol * hi)
+        # a NaN width stops the slice too
+        stop = ~((width > width_tol)
+                 | (np.abs(hi - lam_prev) > width_tol * hi))
         if below is not None:
             for j, i in enumerate(live.tolist()):
                 stop[j] |= root(i, float(hi[j])) < below[i]
@@ -116,8 +122,12 @@ def _power_perron(a: np.ndarray, below=None):
         if stop.any():
             for j in np.flatnonzero(stop).tolist():
                 i = int(live[j])
-                out[i] = (root(i, float(hi[j])), w[j] / top[j], it,
-                          float(width[j]) / scale2)
+                out[i] = (ConvergenceError(f"power iteration left float64 "
+                                           f"range in round {it}",
+                                           root(i, float(lam_prev[j])))
+                          if math.isnan(width[j]) else
+                          (root(i, float(hi[j])), w[j] / top[j], it,
+                           float(width[j]) / scale2))
             keep = ~stop
             live, m_pow, w, hi, top = (live[keep], m_pow[keep], w[keep],
                                        hi[keep], top[keep])
@@ -191,11 +201,9 @@ def _m_inverses(a: np.ndarray) -> list:
     elimination that is also the M-matrix gate (entrywise >= 0, exactly 0
     wherever the digraph of the slice has no path), or the error it
     raises: ClassMismatchError for a slice that fails the gate, ValueError
-    for an inverse that overflows float64.  A row-equilibrated slice has
-    its inverse columns divided by its ``d`` (``_lu.m_factor``)."""
-    lu, ok, d = _lu.m_factor(a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        inv = _lu.m_inverse(lu[ok]) / d[ok][:, None, :]
+    for an inverse that overflows float64."""
+    lu, ok, e = _lu.m_factor(a)
+    inv = _lu.m_inverse(lu[ok], e[ok])
     finite = np.isfinite(inv).all(axis=(1, 2)).tolist()
     out = []
     j = 0

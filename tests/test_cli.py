@@ -186,7 +186,7 @@ def test_spectral_tau_overflowing_inverse_exits_2(runner, tmp_path):
 
 def test_badly_row_scaled_m_matrix(runner, tmp_path):
     # diag(1e-200, 1e200)·[[1, -0.1], [-1e-50, 1]]: the first multiplier of
-    # the M-matrix elimination overflows, so the gate eliminates D⁻¹A
+    # A's own elimination overflows, that of the equilibrated E·A·E does not
     path = str(tmp_path / "scaled.txt")
     write_matrix(np.array([[1e-200, -1e-201], [-1e150, 1e200]]), path)
     with warnings.catch_warnings():
@@ -198,6 +198,20 @@ def test_badly_row_scaled_m_matrix(runner, tmp_path):
     assert tau.exit_code == 0
     line = [l for l in tau.output.splitlines() if l.startswith("tau:")][0]
     assert float(line.split()[1]) == pytest.approx(1e-200, rel=1e-12)
+
+
+def test_spectral_rho_iterate_underflow_exits_1(runner, tmp_path):
+    # rho = 2e200, and an entry of the Perron vector underflows: exit 1 at
+    # once, with no warning
+    path = str(tmp_path / "vector.txt")
+    write_matrix(np.array([[2e-200, 1e-201], [1e150, 2e200]]), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = runner.invoke(main, ["spectral", "rho", path])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "power iteration left float64 range" in res.stderr
+    assert "Traceback" not in res.output
 
 
 @pytest.mark.parametrize("family,pair,p", [

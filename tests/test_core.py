@@ -177,22 +177,29 @@ def test_classify_scale_invariant(n, seed, density, s):
         assert classify(s * a) == classify(a)
 
 
-row_exponents = st.lists(st.floats(-150.0, 150.0), min_size=6, max_size=6)
+row_exponents = st.lists(st.floats(-200.0, 200.0), min_size=6, max_size=6)
 spreads = st.lists(st.floats(-6.0, 6.0), min_size=6, max_size=6)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(n=st.integers(2, 6), seed=st.integers(0, 10 ** 6),
-       u=st.sampled_from([0.5, 0.9, 1.1, 2.0]), g=spreads, e=row_exponents)
+       u=st.sampled_from([0.5, 0.9, 1.1, 2.0]), g=spreads, e=row_exponents,
+       f=row_exponents)
 @example(n=2, seed=0, u=2.0, g=[-6.0, 6.0, 0.0, 0.0, 0.0, 0.0],
-         e=[-150.0, 150.0, 0.0, 0.0, 0.0, 0.0])
+         e=[-150.0, 150.0, 0.0, 0.0, 0.0, 0.0],
+         f=[0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+@example(n=2, seed=0, u=0.5, g=[0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+         e=[200.0, -200.0, 0.0, 0.0, 0.0, 0.0],
+         f=[0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 @settings(max_examples=150, deadline=None)
-def test_classify_row_scale_invariant(n, seed, u, g, e):
-    # the pivot test does not change under a positive row scaling D, but
-    # the first multipliers of D·A can leave float64 range (the example:
-    # 1e300 times 1e12).  A = S(cI − P)S⁻¹ spreads the off-diagonal
-    # magnitudes over 12 decades and keeps the pivots of cI − P, which is
-    # an M-matrix iff u = c/rho(P) > 1 and is drawn away from the floor
+def test_classify_row_scale_invariant(n, seed, u, g, e, f):
+    # the pivot test does not change under a positive row scaling D or
+    # column scaling C, but the multipliers of D·A or A·C can overflow or
+    # underflow (the examples: 1e300 times 1e12, and 1e-200 over 1e200 for
+    # a matrix that is not an M-matrix).  A = S(cI − P)S⁻¹ spreads
+    # the off-diagonal magnitudes over 12 decades and keeps the pivots of
+    # cI − P, which is an M-matrix iff u = c/rho(P) > 1 and is drawn away
+    # from the floor
     rng = np.random.default_rng(seed)
     p = random_nonnegative(rng, n)
     np.fill_diagonal(p, 0.0)
@@ -209,6 +216,24 @@ def test_classify_row_scale_invariant(n, seed, u, g, e):
     assert m == (u > 1.0)
     d = 10.0 ** np.array(e[:n])
     assert classify(d[:, None] * a).nonsingular_m_matrix == m
+    c = 10.0 ** np.array(f[:n])
+    assert classify(a * c[None, :]).nonsingular_m_matrix == m
+
+
+def test_classify_multiplier_underflow():
+    # diag(1e200, 1e-200)·[[1, -2], [-1, 1]] has a negative eigenvalue; in
+    # its own elimination the multiplier -1e-400 underflows to 0 and the
+    # second pivot keeps its sign
+    a = np.array([[1e200, -2e200], [-1e-200, 1e-200]])
+    assert not classify(a).nonsingular_m_matrix
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_classify_column_scaled_m_matrix():
+    # [[1, -0.5], [-1, 1]]·diag(1e-200, 1e200): D⁻¹A would overflow, so a
+    # row-only equilibration would reject this M-matrix
+    a = np.array([[1.0, -0.5], [-1.0, 1.0]]) * np.array([1e-200, 1e200])
+    assert classify(a).nonsingular_m_matrix
 
 
 def test_classify_scaled_dominant_m_matrix():

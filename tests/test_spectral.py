@@ -3,6 +3,8 @@
 numpy.linalg appears here only as an independent reference; no spectral
 routine of the package calls it.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,27 @@ def test_tau_huge_scale():
     assert tau_m_matrix(a).value == pytest.approx(1e150, rel=1e-12)
 
 
+def test_tau_multiplier_underflow():
+    # diag(1e200, 1e-200)·[[1, -0.5], [-1, 1]]: the first multiplier of A's
+    # own elimination, -1e-400, underflows; A⁻¹ is finite
+    a = np.array([[1e200, -5e199], [-1e-200, 1e-200]])
+    assert tau_m_matrix(a).value == pytest.approx(5e-201, rel=1e-12)
+
+
+def test_rho_iterate_underflow_stops_at_once():
+    # rho = 2e200, and the first entry of the Perron vector underflows:
+    # the slice stops with a ConvergenceError, and a slice beside it in
+    # the stack keeps its bits
+    bad = np.array([[2e-200, 1e-201], [1e150, 2e200]])
+    with pytest.raises(ConvergenceError, match="left float64 range") as info:
+        rho_nonnegative(bad)
+    assert "did not converge" not in str(info.value)
+    good = np.array([[1.0, 2.0], [3.0, 4.0]])
+    both = spectral.solve([("rho", bad), ("rho", good)])
+    assert isinstance(both[0], ConvergenceError)
+    assert _same_outcome(both[1], spectral.solve([("rho", good)])[0])
+
+
 def _reachable(a):
     """i -> j reachability (reflexive) in the off-diagonal digraph of a."""
     r = (a != 0.0) | np.eye(a.shape[0], dtype=bool)
@@ -224,9 +247,9 @@ def _reachable(a):
 def test_m_inverse_sign_exact(n, seed, density, margin):
     a = random_m_matrix(np.random.default_rng(seed), n, margin=margin,
                         density=density)
-    lu, ok, _ = _lu.m_factor(a[None])
+    lu, ok, e = _lu.m_factor(a[None])
     assert ok[0]
-    inv = _lu.m_inverse(lu)[0]
+    inv = _lu.m_inverse(lu, e)[0]
     assert np.all(inv >= 0.0)
     np.testing.assert_array_equal(inv != 0.0, _reachable(a))
     ref = np.linalg.inv(a)
@@ -244,23 +267,55 @@ def test_m_factor_rejects():
         assert not _lu.m_factor(np.array(a)[None])[1][0]
 
 
+def _equilibrator(a):
+    """E = diag(a_ii)^(-1/2) rounded to powers of two, as a vector: the
+    diagonal of E·A·E lies in [1/4, 1)."""
+    return np.array([2.0 ** (math.frexp(x)[1] // -2) for x in np.diag(a)])
+
+
 def _m_factor_reference(a):
     """The per-matrix elimination that ``_lu.m_factor`` runs on every slice
-    of a stack: packed factors, or None when a fails the gate."""
+    of a stack: (packed factors of E·A·E, E), or None when a fails the
+    gate."""
     n = a.shape[0]
-    lu = a.astype(np.float64, copy=True)
-    off = lu.copy()
+    off = a.copy()
     np.fill_diagonal(off, 0.0)
-    if np.any(off > 0.0):
+    if np.any(off > 0.0) or np.any(np.diag(a) <= 0.0):
         return None
-    floor = _lu.M_PIVOT_REL * np.diag(a)
+    e = _equilibrator(a)
+    lu = a * e[:, None] * e[None, :]
+    floor = _lu.M_PIVOT_REL * np.diag(lu)
     for k in range(n):
         piv = lu[k, k]
         if not piv > floor[k]:
             return None
         lu[k + 1:, k] /= piv
         lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu
+    return lu, e
+
+
+@given(n=st.integers(1, 12), seed=st.integers(0, 10 ** 6), density=densities,
+       margin=st.sampled_from([0.5, 0.05]), s=scales)
+@settings(max_examples=100, deadline=None)
+def test_m_factor_scaling_is_exact(n, seed, density, margin, s):
+    # E is a power of two, so in float64 range the factors of E·A·E are
+    # those of A scaled by E, bit for bit, and so is the inverse
+    a = s * random_m_matrix(np.random.default_rng(seed), n, margin=margin,
+                            density=density)
+    lu = a.copy()
+    for k in range(n):
+        lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    e = _equilibrator(a)
+    lower = np.tri(n, k=-1, dtype=bool)
+    scaled = np.where(lower, lu * e[:, None] / e[None, :],
+                      lu * e[:, None] * e[None, :])
+    got, ok, got_e = _lu.m_factor(a[None])
+    assert ok[0]
+    np.testing.assert_array_equal(got_e[0], e)
+    np.testing.assert_array_equal(got[0], scaled)
+    np.testing.assert_array_equal(_lu.m_inverse(got, got_e),
+                                  _lu.m_inverse(lu[None], np.ones((1, n))))
 
 
 def _same_outcome(x, y):
@@ -293,10 +348,13 @@ def test_stacked_solves_match_a_stack_of_one(n, k, seed, density):
     stacked = spectral.solve(problems)
     for problem, outcome in zip(problems, stacked):
         assert _same_outcome(outcome, spectral.solve([problem])[0])
-    lu, ok, _ = _lu.m_factor(np.stack(ms))
+    lu, ok, e = _lu.m_factor(np.stack(ms))
     for i, m in enumerate(ms):
         ref = _m_factor_reference(m)
-        one_lu, one_ok, _ = _lu.m_factor(m[None])
+        one_lu, one_ok, one_e = _lu.m_factor(m[None])
         assert ok[i] == one_ok[0] == (ref is not None)
         if ok[i]:
-            assert np.array_equal(lu[i], ref) and np.array_equal(one_lu[0], ref)
+            assert np.array_equal(lu[i], ref[0])
+            assert np.array_equal(one_lu[0], ref[0])
+            assert np.array_equal(e[i], ref[1])
+            assert np.array_equal(one_e[0], ref[1])
