@@ -89,9 +89,10 @@ def m_factor(a: np.ndarray):
     would.  Scaling by powers of two is exact, so where A's own elimination
     stays in range these factors are its factors scaled by E, bit for bit.
     A slice with a positive off-diagonal entry, a nonpositive diagonal
-    entry or a failed pivot leaves the stack.  Schur complements of a
-    Z-matrix are Z-matrices, so L and the off-diagonal of U stay <= 0 in
-    floating point as well.  No floating-point warning is raised, and
+    entry or a failed pivot is not ok, and its ``lu`` is meaningless: the
+    elimination runs on over every slice and judges all the pivots once at
+    the end.  Schur complements of a Z-matrix are Z-matrices, so L and the
+    off-diagonal of U stay <= 0 in floating point as well.  No floating-point warning is raised, and
     every slice gets the same bits as a stack of one.
     """
     n = a.shape[1]
@@ -101,18 +102,12 @@ def m_factor(a: np.ndarray):
     with np.errstate(all="ignore"):
         lu = a * e[:, :, None] * e[:, None, :]
         floor = M_PIVOT_REL * np.diagonal(lu, axis1=1, axis2=2)
-        live = np.flatnonzero(ok)
-        work = lu[live]
         for j in range(n):
-            piv = work[:, j, j]
-            passed = piv > floor[live, j]
-            if not passed.all():
-                ok[live[~passed]] = False
-                live, work, piv = live[passed], work[passed], piv[passed]
-            work[:, j + 1:, j] /= piv[:, None]
-            work[:, j + 1:, j + 1:] -= (work[:, j + 1:, j, None]
-                                        * work[:, j, None, j + 1:])
-    lu[live] = work
+            lu[:, j + 1:, j] /= lu[:, j, j, None]
+            lu[:, j + 1:, j + 1:] -= (lu[:, j + 1:, j, None]
+                                      * lu[:, j, None, j + 1:])
+    # each pivot stays on the diagonal once it is formed
+    ok &= (np.diagonal(lu, axis1=1, axis2=2) > floor).all(axis=1)
     return lu, ok, e
 
 

@@ -4,7 +4,9 @@ Matrices are plain float64 numpy arrays of shape (n, n).  ``as_matrix`` is
 the single validation gate, run where input enters: every public operation
 routes its inputs through it, and the private kernels (``_hadamard``,
 ``_fan_product``, ``_fan_power``, ``_scale_similarity``) take arrays that
-are already checked.
+are already checked.  ``_scc_blocks`` is the package's one graph routine:
+irreducibility and the block split of a reducible Perron root both come
+from the strongly connected blocks it finds for a whole stack at once.
 """
 from __future__ import annotations
 
@@ -125,14 +127,12 @@ def _offdiag_abs(a: np.ndarray) -> np.ndarray:
 def _scc_blocks(a: np.ndarray):
     """Per slice of a (k, n, n) stack, the strongly connected components of
     the off-diagonal nonzero digraph (exact zero threshold), as sorted
-    index lists ordered by first index.  This is the package's one graph
-    routine: irreducibility and the block split of a reducible Perron root
-    both come from it.
+    index lists ordered by first index.
 
     Boolean squaring of I + adjacency reaches the transitive closure of
     every slice in about log2(n) stacked products; i and j share a block
-    iff each reaches the other.  A slice whose closure is full is one
-    block.
+    iff each reaches the other, and each node is labelled by the first
+    node it mutually reaches.  A slice whose closure is full is one block.
     """
     n = a.shape[1]
     reach = (a != 0.0) | np.eye(n, dtype=bool)
@@ -141,20 +141,16 @@ def _scc_blocks(a: np.ndarray):
         if (nxt == reach).all():
             break
         reach = nxt
+    labels = (reach & reach.transpose(0, 2, 1)).argmax(axis=2).tolist()
     out = []
-    for r, full in zip(reach, reach.all(axis=(1, 2))):
+    for full, row in zip(reach.all(axis=(1, 2)).tolist(), labels):
         if full:
             out.append([list(range(n))])
             continue
-        mutual = r & r.T
-        blocks = []
-        seen = np.zeros(n, dtype=bool)
-        for i in range(n):
-            if not seen[i]:
-                members = np.flatnonzero(mutual[i])
-                seen[members] = True
-                blocks.append(members.tolist())
-        out.append(blocks)
+        blocks = {}  # first node -> block, in order of first node
+        for i, first in enumerate(row):
+            blocks.setdefault(first, []).append(i)
+        out.append(list(blocks.values()))
     return out
 
 

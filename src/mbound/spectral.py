@@ -4,13 +4,14 @@ The spectral radius of a nonnegative matrix is computed by power iteration
 with a Collatz–Wielandt bracket; no library eigensolver is involved, so the
 test suite can cross-check against one independently.
 
-``solve`` takes a list of problems, ρ of a nonnegative matrix or τ of a
-nonsingular M-matrix, and solves all those of one order as one (k, n, n)
-stack: one stacked elimination and inverse (``_lu.m_factor``/``m_inverse``)
-for the τ problems, then one stacked Perron iteration for the ρ problems
-and the τ inverses together.  Every slice gets the same bits as a stack of
-one, and an error belongs to its own problem.  ``rho_nonnegative`` and
-``tau_m_matrix`` are stacks of one.
+``solve`` takes a list of problems of any orders, ρ of a nonnegative matrix
+or τ of a nonsingular M-matrix.  The τ problems of one order are one stacked
+elimination and inverse (``_lu.m_factor``/``m_inverse``).  Their inverses
+and the ρ problems go to one Perron driver (``_perron``), which iterates
+every irreducible matrix and every strongly connected block of a reducible
+one in one stack per block order and wave.  Every block gets the same bits
+as a stack of one, and an error belongs to its own problem.
+``rho_nonnegative`` and ``tau_m_matrix`` are stacks of one.
 """
 from __future__ import annotations
 
@@ -54,7 +55,7 @@ _SQUARINGS = 6  # power-iterate m^(2^6): same bracket, 64x the convergence rate
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _power_perron(a: np.ndarray, below=None):
+def _power_perron(a: np.ndarray, below):
     """Power iteration on the primitive shift a + cI, c = max entry of a,
     for each slice of a (k, n, n) stack.
 
@@ -78,7 +79,7 @@ def _power_perron(a: np.ndarray, below=None):
     and no later round can recover it.  Slices that stop leave the stack.
     The logarithms are taken per slice with ``math``, and everything else
     is elementwise or a per-slice product, so each slice gets the same bits
-    as a stack of one.
+    as a stack of one.  ``below`` holds a floor or None per slice.
     """
     k, n, _ = a.shape
     c = a.max(axis=(1, 2))
@@ -103,6 +104,8 @@ def _power_perron(a: np.ndarray, below=None):
         return math.exp(log_scale[i] + math.log(h) / scale2) - c[i]
 
     width_tol = REL_TOL * scale2
+    floored = np.array([f is not None for f in below])
+    any_floor = bool(floored.any())
     out = [None] * k
     live = np.arange(k)
     v = np.ones((k, n))
@@ -115,9 +118,9 @@ def _power_perron(a: np.ndarray, below=None):
         # a NaN width stops the slice too
         stop = ~((width > width_tol)
                  | (np.abs(hi - lam_prev) > width_tol * hi))
-        if below is not None:
-            for j, i in enumerate(live.tolist()):
-                stop[j] |= root(i, float(hi[j])) < below[i]
+        if any_floor:
+            for j in np.flatnonzero(floored).tolist():
+                stop[j] |= root(live[j], float(hi[j])) < below[live[j]]
         top = w.max(axis=1)
         if stop.any():
             for j in np.flatnonzero(stop).tolist():
@@ -129,8 +132,9 @@ def _power_perron(a: np.ndarray, below=None):
                           (root(i, float(hi[j])), w[j] / top[j], it,
                            float(width[j]) / scale2))
             keep = ~stop
-            live, m_pow, w, hi, top = (live[keep], m_pow[keep], w[keep],
-                                       hi[keep], top[keep])
+            live, m_pow, w, hi, top, floored = (
+                live[keep], m_pow[keep], w[keep], hi[keep], top[keep],
+                floored[keep])
             if not live.size:
                 return out
         lam_prev = hi
@@ -143,56 +147,67 @@ def _power_perron(a: np.ndarray, below=None):
     return out
 
 
-def _block_split(a: np.ndarray, blocks) -> SpectralResult:
-    """Perron root of a reducible matrix from its strongly connected
-    blocks: the 1x1 blocks go first, so a larger block whose bracket falls
-    below the best root so far is abandoned early; the residual is then
-    the bracket width of the block that holds the root."""
-    best = 0.0
-    iters = 0
-    width = 0.0
+def _root(a: np.ndarray, blocks):
+    """Perron root of a from its strongly connected blocks, as a generator
+    that yields each block of order >= 2 with its floor and is sent that
+    block's ``_power_perron`` outcome.  One block is a itself, with no
+    floor.  Otherwise the floor is the best root so far, from the largest
+    1x1 block and 0.0 on; blocks go in order of size, so one whose bracket
+    falls below it is abandoned early.  The root then has no vector, and
+    the residual is its block's bracket width.  A ConvergenceError ends it."""
+    if len(blocks) == 1:
+        r = yield a, None
+        return r if isinstance(r, ConvergenceError) else SpectralResult(*r)
+    best = max([0.0] + [float(a[b[0], b[0]]) for b in blocks if len(b) == 1])
+    iters, width = 0, 0.0
     for idx in sorted(blocks, key=len):
-        if len(idx) == 1:
-            best = max(best, float(a[idx[0], idx[0]]))
-            continue
-        r = _power_perron(a[np.ix_(idx, idx)][None], [best])[0]
-        if isinstance(r, ConvergenceError):
-            return r
-        iters += r[2]
-        if r[0] > best:
-            best, width = r[0], r[3]
+        if len(idx) > 1:
+            r = yield a[np.ix_(idx, idx)], best
+            if isinstance(r, ConvergenceError):
+                return r
+            iters += r[2]
+            if r[0] > best:
+                best, width = r[0], r[3]
     return SpectralResult(best, None, iters, width)
 
 
-def _rho_stack(a: np.ndarray) -> list:
-    """Per slice of a (k, n, n) stack of finite matrices, its Perron root
+def _perron(mats) -> list:
+    """Per finite square array of ``mats``, of any orders, its Perron root
     as a SpectralResult, or the error it raises.
 
-    Irreducible slices get the positive eigenvector as well and go through
-    one stacked iteration; reducible ones are split into strongly
-    connected blocks (``_block_split``) and get no vector.
+    The blocks of all arrays (``_root``) go in waves: wave 0 holds every
+    irreducible array and the first block of each reducible one, wave w
+    the w-th block of each reducible array still running.  Each block
+    order of a wave is one ``_power_perron`` stack.
     """
-    k, n, _ = a.shape
-    out = [None] * k
-    negative = np.any(a < 0.0, axis=(1, 2))
-    for i in np.flatnonzero(negative).tolist():
-        out[i] = ClassMismatchError("not nonnegative")
-    idx = np.flatnonzero(~negative).tolist()
-    if n == 1:
-        for i in idx:
-            val = float(a[i, 0, 0])
-            out[i] = SpectralResult(val, np.ones(1) if val != 0.0 else None,
-                                    0, 0.0)
-        return out
-    whole = []
-    for i, blocks in zip(idx, _scc_blocks(a[idx])):
-        if len(blocks) == 1:
-            whole.append(i)
-        else:
-            out[i] = _block_split(a[i], blocks)
-    if whole:
-        for i, r in zip(whole, _power_perron(a[whole])):
-            out[i] = r if isinstance(r, ConvergenceError) else SpectralResult(*r)
+    out = [None] * len(mats)
+    wave = []  # (array index, its generator, what to send it)
+    for idx in _by_order(mats).values():
+        a = np.stack([mats[i] for i in idx])
+        good = []
+        for j, negative in enumerate(np.any(a < 0.0, axis=(1, 2)).tolist()):
+            if negative:
+                out[idx[j]] = ClassMismatchError("not nonnegative")
+            elif a.shape[1] > 1:
+                good.append(j)
+            else:
+                val = float(a[j, 0, 0])
+                out[idx[j]] = SpectralResult(
+                    val, np.ones(1) if val != 0.0 else None, 0, 0.0)
+        for j, blocks in zip(good, _scc_blocks(a[good])):
+            wave.append((idx[j], _root(a[j], blocks), None))
+    while wave:
+        jobs = []  # (array index, generator, block, floor)
+        for i, gen, sent in wave:
+            try:
+                jobs.append((i, gen, *gen.send(sent)))
+            except StopIteration as done:
+                out[i] = done.value
+        wave = []
+        for group in _by_order([job[2] for job in jobs]).values():
+            res = _power_perron(np.stack([jobs[g][2] for g in group]),
+                                [jobs[g][3] for g in group])
+            wave += [(*jobs[g][:2], r) for g, r in zip(group, res)]
     return out
 
 
@@ -223,35 +238,24 @@ def solve(problems) -> list:
     nonsingular M-matrix a, with a a finite square float64 array.
 
     Returns per problem, in order, its SpectralResult, or the exception it
-    raises when solved alone (see ``errors.unwrap``).  The problems of one
-    order are one stack: the τ problems are factored and inverted
-    together, and their inverses join the ρ problems in one Perron
-    iteration.  τ(a) is 1/ρ(a⁻¹); a⁻¹ is entrywise >= 0, so its Perron
-    vector is the eigenvector of a.
+    raises when solved alone (see ``errors.unwrap``).  The τ problems of
+    one order are factored and inverted as one stack, and their inverses
+    join the ρ problems of every order in one ``_perron`` call.  τ(a) is
+    1/ρ(a⁻¹); a⁻¹ is entrywise >= 0, so its Perron vector is the
+    eigenvector of a.
     """
-    out = [None] * len(problems)
-    for idx in _by_order([a for _, a in problems]).values():
-        slots, stack = [], []
-        taus = [i for i in idx if problems[i][0] == "tau"]
-        if taus:
-            for i, inv in zip(taus, _m_inverses(np.stack([problems[i][1]
-                                                         for i in taus]))):
-                if isinstance(inv, Exception):
-                    out[i] = inv
-                else:
-                    slots.append(i)
-                    stack.append(inv)
-        for i in idx:
-            if problems[i][0] == "rho":
-                slots.append(i)
-                stack.append(problems[i][1])
-        if not stack:
-            continue
-        for i, r in zip(slots, _rho_stack(np.stack(stack))):
-            if problems[i][0] == "tau" and isinstance(r, SpectralResult):
-                r = SpectralResult(1.0 / r.value, r.eigenvector, r.iterations,
-                                   r.residual)
-            out[i] = r
+    out = [a for _, a in problems]
+    taus = [i for i, (kind, _) in enumerate(problems) if kind == "tau"]
+    for idx in _by_order([out[i] for i in taus]).values():
+        idx = [taus[t] for t in idx]
+        for i, inv in zip(idx, _m_inverses(np.stack([out[i] for i in idx]))):
+            out[i] = inv
+    good = [i for i, a in enumerate(out) if not isinstance(a, Exception)]
+    for i, r in zip(good, _perron([out[i] for i in good])):
+        if problems[i][0] == "tau" and isinstance(r, SpectralResult):
+            r = SpectralResult(1.0 / r.value, r.eigenvector, r.iterations,
+                               r.residual)
+        out[i] = r
     return out
 
 

@@ -7,9 +7,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mbound.core import (_scale_similarity, as_matrix, classify,
-                         cyclic_permutation, fan_power, fan_product, hadamard,
-                         perturb_cyclic)
+from mbound.core import (_scale_similarity, _scc_blocks, as_matrix,
+                         classify, cyclic_permutation, fan_power, fan_product,
+                         hadamard, perturb_cyclic)
 from mbound.errors import MatrixFormatError
 from conftest import random_m_matrix, random_nonnegative
 
@@ -262,3 +262,40 @@ def test_classify_m_matrix_matches_eigenvalues(n, seed, density):
     low = float(np.min(np.linalg.eigvals(a).real))
     assume(abs(low) > 1e-6 * np.max(np.abs(a)))
     assert classify(a).nonsingular_m_matrix == (low > 0.0)
+
+
+def _scc_blocks_per_node(a):
+    """The strongly connected blocks of one matrix by the per-node loop:
+    the reflexive closure by repeated squaring, then each node not yet
+    seen opens the block of the nodes it mutually reaches."""
+    n = a.shape[0]
+    reach = (a != 0.0) | np.eye(n, dtype=bool)
+    while True:
+        nxt = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
+        if np.array_equal(nxt, reach):
+            break
+        reach = nxt
+    mutual = reach & reach.T
+    blocks = []
+    seen = np.zeros(n, dtype=bool)
+    for i in range(n):
+        if not seen[i]:
+            members = np.flatnonzero(mutual[i])
+            seen[members] = True
+            blocks.append(members.tolist())
+    return blocks
+
+
+@given(n=st.integers(1, 12), k=st.integers(1, 6), seed=st.integers(0, 10 ** 6),
+       density=st.sampled_from([1.0, 0.3, 0.1]))
+@settings(max_examples=150, deadline=None)
+def test_scc_blocks_match_the_per_node_loop(n, k, seed, density):
+    # every other slice is block triangular and permuted, so stacks mix
+    # full closures with several blocks
+    rng = np.random.default_rng(seed)
+    a = np.stack([random_nonnegative(rng, n, density) for _ in range(k)])
+    for i in range(1, k, 2):
+        a[i, : n // 2, n // 2:] = 0.0
+        perm = rng.permutation(n)
+        a[i] = a[i][np.ix_(perm, perm)]
+    assert _scc_blocks(a) == [_scc_blocks_per_node(s) for s in a]

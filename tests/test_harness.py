@@ -1,4 +1,5 @@
 """Generator determinism, trial independence, and suite bookkeeping."""
+import hashlib
 import logging
 
 import numpy as np
@@ -362,3 +363,23 @@ def test_stacked_ladder_and_checks_match_stacks_of_one(family, data, seed,
     alone = [_replay(fam.assess([mats], [r], exponents))[0]
              for mats, r in zip(trials, solved)]
     assert stacked == alone
+
+
+def _digest_per_entry(a):
+    """The matrix digest as the benchmark computes it: each entry %.17g,
+    joined by ";", sha256 to 12 hex digits."""
+    payload = ";".join("%.17g" % x for x in a.ravel())
+    return hashlib.sha256(payload.encode()).hexdigest()[:12]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_digest_matches_the_per_entry_formula(n):
+    rng = np.random.default_rng(n)
+    edge = np.array([-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300,
+                     -1e300, 0.1, 1.0 / 3.0])
+    for a in (rng.uniform(0.0, 1.0, (n, n)),
+              np.where(rng.uniform(size=(n, n)) < 0.3,
+                       rng.normal(size=(n, n)), 0.0),
+              rng.choice(edge, (n, n)),
+              np.zeros((n, n))):
+        assert harness._digest(a) == _digest_per_entry(a)

@@ -15,7 +15,8 @@ from mbound.core import cyclic_permutation, fan_product, hadamard
 from mbound.errors import (ClassMismatchError, ConvergenceError,
                            SingularMatrixError)
 from mbound.harness import GeneratorSpec, _sample_order, _trial_rng, gen_m_matrix
-from mbound.spectral import _jacobi_matrix, rho_nonnegative, tau_m_matrix
+from mbound.spectral import (SpectralResult, _jacobi_matrix,
+                             rho_nonnegative, tau_m_matrix)
 from conftest import random_m_matrix, random_nonnegative
 
 
@@ -320,7 +321,9 @@ def test_m_factor_scaling_is_exact(n, seed, density, margin, s):
 
 def _same_outcome(x, y):
     if isinstance(x, Exception) or isinstance(y, Exception):
-        return type(x) is type(y) and str(x) == str(y)
+        return (type(x) is type(y) and str(x) == str(y)
+                and repr(getattr(x, "best_estimate", None))
+                == repr(getattr(y, "best_estimate", None)))
     vectors = (x.eigenvector is None and y.eigenvector is None
                or x.eigenvector is not None and y.eigenvector is not None
                and np.array_equal(x.eigenvector, y.eigenvector))
@@ -358,3 +361,80 @@ def test_stacked_solves_match_a_stack_of_one(n, k, seed, density):
             assert np.array_equal(one_lu[0], ref[0])
             assert np.array_equal(e[i], ref[1])
             assert np.array_equal(one_e[0], ref[1])
+
+
+def _reducible(rng, n):
+    """A permuted block upper-triangular nonnegative matrix of order n: a
+    dense block of each size in a random composition of n (some sizes
+    repeat, some are 1), random coupling above them, and now and then
+    only 1x1 blocks or all zeros."""
+    shape = rng.integers(4)
+    if shape == 0:
+        return np.zeros((n, n))
+    sizes = [1] * n if shape == 1 else []
+    while sum(sizes) < n:
+        sizes.append(int(min(rng.choice([1, 2, 2, 3]), n - sum(sizes))))
+    a = np.triu(random_nonnegative(rng, n, 0.3), 1)
+    start = 0
+    for size in sizes:
+        block = rng.uniform(0.1, 1.0, (size, size))
+        a[start:start + size, start:start + size] = block * (size > 1 or
+                                                            rng.integers(2))
+        start += size
+    perm = rng.permutation(n)
+    return a[np.ix_(perm, perm)]
+
+
+def _mixed_problems(rng, k):
+    """k ρ problems of orders 1..12, random or reducible, and the τ
+    problem of a diagonal shift of each, which may fail the gate."""
+    problems = []
+    for _ in range(k):
+        n = int(rng.integers(1, 13))
+        p = (_reducible(rng, n) if rng.integers(2)
+             else random_nonnegative(rng, n, rng.choice([1.0, 0.3])))
+        rho = np_rho(p)
+        shift = rho * rng.uniform(0.9, 1.5) if rho > 0 else 0.5
+        problems += [("rho", p), ("tau", shift * np.eye(n) - p)]
+    return problems
+
+
+@given(k=st.integers(1, 12), seed=st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_mixed_orders_and_blocks_match_a_problem_alone(k, seed):
+    # one solve call across orders, with blocks of equal size in a slice
+    # and blocks of one size from slices of different orders in one stack
+    problems = _mixed_problems(np.random.default_rng(seed), k)
+    for problem, outcome in zip(problems, spectral.solve(problems)):
+        assert _same_outcome(outcome, spectral.solve([problem])[0])
+
+
+def test_a_block_that_does_not_converge_ends_its_slice(monkeypatch):
+    # the first block converges in 2 rounds, the second (root 10.2, above
+    # the first's 5) would need 19
+    a = np.zeros((4, 4))
+    a[:2, :2] = [[0.0, 5.0], [5.0, 0.0]]
+    a[2:, 2:] = [[10.0, 0.1], [0.4, 10.0]]
+    a[0, 2] = 1.0
+    monkeypatch.setattr(spectral, "MAX_ITER", 5)
+    problems = [("rho", a)] + _mixed_problems(np.random.default_rng(3), 12)
+    stacked = spectral.solve(problems)
+    assert isinstance(stacked[0], ConvergenceError)
+    assert "did not converge in 5 iterations" in str(stacked[0])
+    assert any(isinstance(r, SpectralResult) for r in stacked)
+    for problem, outcome in zip(problems, stacked):
+        assert _same_outcome(outcome, spectral.solve([problem])[0])
+
+
+def test_rho_equal_size_blocks_abandon_the_second():
+    # blocks {0, 1} (root 5) and {2, 3} (root 2) have one size; the first
+    # converges in 2 rounds, and the second stops after 1, below 5
+    a = np.array([[0, 5, 1, 0], [5, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]],
+                 dtype=float)
+    r = rho_nonnegative(a)
+    assert r.value == pytest.approx(5.0, rel=1e-12) and r.iterations == 3
+    swapped = rho_nonnegative(np.array([[0, 2, 1, 0], [2, 0, 0, 0],
+                                        [0, 0, 0, 5], [0, 0, 5, 0]],
+                                       dtype=float))
+    assert swapped.value == pytest.approx(5.0, rel=1e-12)
+    assert swapped.iterations == 4
