@@ -426,8 +426,8 @@ def _tau_hinv_deficit_oval(a, binv, tau_a, scaling: DominanceScaling,
 
     Why it is a lower bound.  (D⁻¹(A∘B⁻¹)D)_ij = a_ij β̃_ij with
     B̃⁻¹ = D⁻¹B⁻¹D, so M = A∘B̃⁻¹ is a nonsingular M-matrix with the
-    spectrum of A∘B⁻¹ (an M-matrix by the lemma
-    ``harness.lemma_product_m_matrix`` checks), the diagonal
+    spectrum of A∘B⁻¹ (an M-matrix by the Fiedler–Markham lemma: A∘B⁻¹
+    of two nonsingular M-matrices is one), the diagonal
     m_ii = a_ii β_ii, and |m_ji| = |a_ji| β̃_ji ≤ |a_ji| s_i β_ii by the
     caps, which hold because B̃ is a strictly row-dominant M-matrix.
     Take A irreducible (a reducible A is a limit of irreducible M-matrices,
@@ -482,7 +482,7 @@ def _tau_multi_fan(mats, exponents: HolderExponents, taus, lg: _Log) -> _Rungs:
     since the tau values are the caller's; anything less negative is
     rounding and is clamped by ``_clamp_nonneg`` on the scale of the
     factor's A_k[i,i]^P_k.  The powers are numpy's, as in
-    ``core.fan_power``, so a bracket that is zero in exact arithmetic comes
+    ``core._fan_power``, so a bracket that is zero in exact arithmetic comes
     out as 0.
     """
     prod_diag = prod_deficit = 1.0

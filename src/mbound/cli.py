@@ -51,6 +51,8 @@ def read_matrix(path: str) -> np.ndarray:
             raw = fh.read()
     except OSError as exc:
         raise MatrixFormatError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise MatrixFormatError(f"{path}: not UTF-8 text")
     stripped = raw.lstrip()
     if stripped.startswith("{"):
         return _parse_structured(raw, path)
@@ -59,10 +61,14 @@ def read_matrix(path: str) -> np.ndarray:
 
 def _parse_structured(raw: str, path: str) -> np.ndarray:
     try:
-        obj = json.loads(raw)
+        # integers parse as floats, like a text token: one beyond float64
+        # range is inf, and no integer meets int()'s digit limit
+        obj = json.loads(raw, parse_int=float)
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"{path}: invalid JSON: {exc.msg}",
                                 line=exc.lineno, column=exc.colno)
+    except RecursionError:
+        raise MatrixFormatError(f"{path}: JSON nested too deeply")
     if not isinstance(obj, dict) or "rows" not in obj:
         raise MatrixFormatError(f"{path}: structured format needs a 'rows' key")
     rows = obj["rows"]
@@ -82,11 +88,11 @@ def _parse_structured(raw: str, path: str) -> np.ndarray:
                 line=i + 1)
         vals = []
         for j, x in enumerate(row):
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
+            if not isinstance(x, float):
                 raise MatrixFormatError(
                     f"{path}: row {i + 1}, entry {j + 1} is not a number",
                     line=i + 1, column=j + 1)
-            vals.append(float(x))
+            vals.append(x)
         out.append(vals)
     return _require_square(np.array(out, dtype=np.float64), path)
 
@@ -125,17 +131,6 @@ def _require_square(a: np.ndarray, path: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise MatrixFormatError(f"{path}: non-finite entry")
     return a
-
-
-def write_matrix(a: np.ndarray, path: str, structured: bool = False) -> None:
-    """Serialization that round-trips exactly through read_matrix."""
-    if structured:
-        rows = [[float(_FMT % x) for x in row] for row in a]
-        payload = json.dumps({"rows": rows}) + "\n"
-    else:
-        payload = "\n".join(" ".join(_FMT % x for x in row) for row in a) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
 
 
 # ----------------------------------------------------------------------

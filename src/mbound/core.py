@@ -1,12 +1,14 @@
 """Dense square matrices, entrywise products, and structural classification.
 
 Matrices are plain float64 numpy arrays of shape (n, n).  ``as_matrix`` is
-the single validation gate, run where input enters: every public operation
-routes its inputs through it, and the private kernels (``_hadamard``,
-``_fan_product``, ``_fan_power``, ``_scale_similarity``) take arrays that
-are already checked.  ``_scc_blocks`` is the package's one graph routine:
-irreducibility and the block split of a reducible Perron root both come
-from the strongly connected blocks it finds for a whole stack at once.
+the single validation gate, run where input enters: the public functions
+and ``harness.Family.evaluate`` route their inputs through it.  The
+products (``_hadamard``, ``_fan_product``, ``_fan_power``) and
+``_scale_similarity`` take arrays that are already checked; the products
+reach users only through ``harness.FAMILIES``.  ``_scc_blocks`` is the
+package's one graph routine: irreducibility and the block split of a
+reducible Perron root both come from the strongly connected blocks it
+finds for a whole stack at once.
 """
 from __future__ import annotations
 
@@ -19,12 +21,7 @@ from . import _lu
 __all__ = [
     "MatrixClassification",
     "as_matrix",
-    "hadamard",
-    "fan_product",
-    "fan_power",
     "classify",
-    "cyclic_permutation",
-    "perturb_cyclic",
 ]
 
 
@@ -72,26 +69,12 @@ def _hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _finite(out, "Hadamard product")
 
 
-def hadamard(a, b) -> np.ndarray:
-    """Entrywise product a_ij * b_ij."""
-    return _hadamard(as_matrix(a), as_matrix(b))
-
-
 def _fan_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     _same_order(a, b)
     with np.errstate(over="ignore"):
         out = -(a * b)
         np.fill_diagonal(out, np.diag(a) * np.diag(b))
     return _finite(out, "Fan product")
-
-
-def fan_product(a, b) -> np.ndarray:
-    """Diagonal a_ii*b_ii, off-diagonal -a_ij*b_ij.
-
-    Meaningful when both inputs have nonpositive off-diagonals (the result
-    then keeps that sign pattern); not enforced here.
-    """
-    return _fan_product(as_matrix(a), as_matrix(b))
 
 
 def _fan_power(a: np.ndarray, p: int) -> np.ndarray:
@@ -101,17 +84,6 @@ def _fan_power(a: np.ndarray, p: int) -> np.ndarray:
         out = -np.abs(a) ** p
         np.fill_diagonal(out, np.diag(a) ** p)
     return _finite(out, f"Fan power of order {p}")
-
-
-def fan_power(a, p: int) -> np.ndarray:
-    """p-fold self fan product: diagonal a_ii**p, off-diagonal -|a_ij|**p.
-
-    p == 1 returns an exact copy (no arithmetic touches the entries).
-    """
-    a = as_matrix(a)
-    if not isinstance(p, (int, np.integer)) or p < 1:
-        raise ValueError("exponent must be a positive integer")
-    return _fan_power(a, p)
 
 
 def _offdiag_abs(a: np.ndarray) -> np.ndarray:
@@ -193,23 +165,3 @@ def _scale_similarity(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """D^-1 A D of a matrix, or of each slice of a stack with d one row
     per slice."""
     return a * (d[..., None, :] / d[..., :, None])
-
-
-def cyclic_permutation(n: int) -> np.ndarray:
-    """The permutation matrix with ones at (1,2),(2,3),...,(n,1)."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    p = np.zeros((n, n))
-    for i in range(n):
-        p[i, (i + 1) % n] = 1.0
-    return p
-
-
-def perturb_cyclic(a, eps: float, sign: int = 1) -> np.ndarray:
-    """a + sign*eps*P with P the cyclic permutation; irreducible for eps>0, n>=2."""
-    a = as_matrix(a)
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return a + sign * eps * cyclic_permutation(a.shape[0])

@@ -43,16 +43,15 @@ import numpy as np
 from . import _lu, bounds, spectral
 from .bounds import _diag
 from .core import (_by_order, _fan_power, _fan_product, _finite, _hadamard,
-                   _scale_similarity, as_matrix, classify, hadamard)
+                   _scale_similarity, as_matrix, classify)
 from .errors import ClassMismatchError, MboundError, unwrap
-from .spectral import _jacobi_matrix, _m_inverses
+from .spectral import _jacobi_matrix
 
 __all__ = [
     "GeneratorSpec",
     "TrialReport",
     "gen_nonnegative",
     "gen_m_matrix",
-    "lemma_product_m_matrix",
     "Family",
     "FAMILIES",
     "run_suite",
@@ -186,14 +185,6 @@ def _shift_to_m(ps, margin: float) -> list:
                 out[i] = ClassMismatchError(
                     "generated matrix failed M-matrix classification")
     return out
-
-
-def lemma_product_m_matrix(a, b) -> bool:
-    """Closure check: the entrywise product of b with a's inverse is again
-    a nonsingular M-matrix.  a⁻¹ comes from the M-matrix gate, whose exact
-    zeros keep b's Z-pattern; an a that fails the gate raises."""
-    ainv = unwrap(_m_inverses(as_matrix(a)[None])[0])
-    return bool(_lu.m_factor(hadamard(b, ainv)[None])[1][0])
 
 
 # ----------------------------------------------------------------------
@@ -623,7 +614,7 @@ def _multi_fan_check_problems(mats, exponents):
 def _multi_fan_checks(mats, exponents, oracle, ladder, ctx, lg):
     """Reduction identities: a single exponent (1,) returns tau of the
     matrix itself, exponents (1,1) reproduce the affine two-matrix bound to
-    1e-12.  fan_power(A, 1) is an exact copy of A, so tau of the first
+    1e-12.  ``_fan_power(A, 1)`` is an exact copy of A, so tau of the first
     powers is tau of the factors.  At (2,2) the chain bound must clear
     τ(A)·τ(B), with both τ from ctx["checked"]."""
     value = ladder[0].values

@@ -162,7 +162,8 @@ def _root(a: np.ndarray, blocks):
     iters, width = 0, 0.0
     for idx in sorted(blocks, key=len):
         if len(idx) > 1:
-            r = yield a[np.ix_(idx, idx)], best
+            ix = np.array(idx)
+            r = yield a[ix[:, None], ix], best
             if isinstance(r, ConvergenceError):
                 return r
             iters += r[2]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from mbound import bounds
+from mbound import _lu, bounds
+from mbound.errors import unwrap
 from mbound.harness import (WORKED_FAN_A, WORKED_FAN_B, WORKED_HADAMARD_A,
                             WORKED_HADAMARD_B, WORKED_HINV_A, WORKED_HINV_B)
+from mbound.spectral import _m_inverses
 
 
 @pytest.fixture
@@ -42,3 +44,11 @@ def row_chain(b):
     r, s_pair = bounds._aux_chain(b[None], lg)
     lg.flush(0)
     return r[0], s_pair[0], bounds._caps(b[None], r)[0]
+
+
+def product_with_inverse_is_m(a, b):
+    """The Fiedler–Markham lemma on one pair: B ∘ A⁻¹ passes the M-matrix
+    elimination.  A⁻¹ comes from the M-matrix gate, whose exact zeros keep
+    B's Z-pattern."""
+    ainv = unwrap(_m_inverses(a[None])[0])
+    return bool(_lu.m_factor((b * ainv)[None])[1][0])

