@@ -7,7 +7,13 @@ as E·A·E with E a diagonal of powers of two: that is the nonsingular
 M-matrix gate (all pivots positive) at every scale and, from the same
 packed factors, an inverse that is entrywise >= 0 with exact structural
 zeros.  They take a (k, n, n) stack, loop over the pivot index and
-vectorize over k; a single matrix is a stack of one.
+vectorize over k; a single matrix is a stack of one.  ``spectral`` and
+``harness`` hand them stacks of one bucket order, each matrix padded with
+an identity block (``core._stacks``): the pad passes the gate, no real row
+meets a nonzero pad entry, and the leading block of the inverse is the
+matrix's own inverse.  Their ``order`` is the largest order in the stack:
+the pivots and rows past it are pad in every slice, where elimination and
+substitution would change no entry that is read, so they are skipped.
 """
 from __future__ import annotations
 
@@ -72,7 +78,7 @@ def inverse(a: np.ndarray) -> np.ndarray:
     return inv
 
 
-def m_factor(a: np.ndarray):
+def m_factor(a: np.ndarray, order=None):
     """Unpivoted LU of E·A·E for each slice A of a (k, n, n) stack of
     Z-matrices, with E = diag(a_ii)^(-1/2) rounded to powers of two.
 
@@ -92,8 +98,11 @@ def m_factor(a: np.ndarray):
     entry or a failed pivot is not ok, and its ``lu`` is meaningless: the
     elimination runs on over every slice and judges all the pivots once at
     the end.  Schur complements of a Z-matrix are Z-matrices, so L and the
-    off-diagonal of U stay <= 0 in floating point as well.  No floating-point warning is raised, and
-    every slice gets the same bits as a stack of one.
+    off-diagonal of U stay <= 0 in floating point as well.  No
+    floating-point warning is raised, and every slice gets the same bits as
+    a stack of one.  Only the first ``order`` pivots are eliminated (all
+    when None); past them every slice must be an identity pad, whose
+    pivots then stay E·1·E = 1/4.
     """
     n = a.shape[1]
     # a Z-matrix with a positive diagonal: a > 0 exactly on the diagonal
@@ -102,7 +111,7 @@ def m_factor(a: np.ndarray):
     with np.errstate(all="ignore"):
         lu = a * e[:, :, None] * e[:, None, :]
         floor = M_PIVOT_REL * np.diagonal(lu, axis1=1, axis2=2)
-        for j in range(n):
+        for j in range(n if order is None else order):
             lu[:, j + 1:, j] /= lu[:, j, j, None]
             lu[:, j + 1:, j + 1:] -= (lu[:, j + 1:, j, None]
                                       * lu[:, j, None, j + 1:])
@@ -111,7 +120,7 @@ def m_factor(a: np.ndarray):
     return lu, ok, e
 
 
-def m_inverse(lu: np.ndarray, e: np.ndarray) -> np.ndarray:
+def m_inverse(lu: np.ndarray, e: np.ndarray, order=None) -> np.ndarray:
     """A⁻¹ = E·(E·A·E)⁻¹·E for each slice of a stack of ``m_factor``'s
     packed factors and scalings, all columns at once.
 
@@ -119,13 +128,17 @@ def m_inverse(lu: np.ndarray, e: np.ndarray) -> np.ndarray:
     nonnegative one, so no cancellation occurs: each result is entrywise
     >= 0 and is exactly zero where the digraph of A has no path i -> j.
     An entry beyond float64 range comes out non-finite, without a warning.
+    With an ``order``, the identity pad past it is not substituted: its
+    rows of the result are not inverted, and every other row reads them
+    only through exact zeros of U, so it keeps its bits.
     """
     n = lu.shape[1]
+    m = n if order is None else order
     x = np.eye(n) * e[:, None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n):  # L Y = E, L unit lower
+        for i in range(1, m):  # L Y = E, L unit lower
             x[:, i] -= (lu[:, i, None, :i] @ x[:, :i])[:, 0]
-        for i in range(n - 1, -1, -1):  # U X = Y
+        for i in range(m - 1, -1, -1):  # U X = Y
             x[:, i] -= (lu[:, i, None, i + 1:] @ x[:, i + 1:])[:, 0]
             x[:, i] /= lu[:, i, i, None]
         return x * e[:, :, None]

@@ -8,7 +8,9 @@ products (``_hadamard``, ``_fan_product``, ``_fan_power``) and
 reach users only through ``harness.FAMILIES``.  ``_scc_blocks`` is the
 package's one graph routine: irreducibility and the block split of a
 reducible Perron root both come from the strongly connected blocks it
-finds for a whole stack at once.
+finds for a whole stack at once.  ``_stacks`` pads the arrays of a list
+to their bucket orders, so that solvers stack orders 1–4, 5–8 and 9–12
+together.
 """
 from __future__ import annotations
 
@@ -96,17 +98,21 @@ def _offdiag_abs(a: np.ndarray) -> np.ndarray:
     return off
 
 
-def _scc_blocks(a: np.ndarray):
-    """Per slice of a (k, n, n) stack, the strongly connected components of
-    the off-diagonal nonzero digraph (exact zero threshold), as sorted
-    index lists ordered by first index.
+def _scc_blocks(a: np.ndarray, orders=None):
+    """Per slice of a (k, N, N) stack, the strongly connected components of
+    the off-diagonal nonzero digraph (exact zero threshold) of its leading
+    block of order ``orders[i]`` (N when orders is None), as sorted index
+    lists ordered by first index.  The rest of a slice is a zero pad
+    (``_stacks``): its nodes have no edges, so they change no path between
+    the slice's own nodes and are dropped.
 
     Boolean squaring of I + adjacency reaches the transitive closure of
-    every slice in about log2(n) stacked products; i and j share a block
+    every slice in about log2(N) stacked products; i and j share a block
     iff each reaches the other, and each node is labelled by the first
-    node it mutually reaches.  A slice whose closure is full is one block.
+    node it mutually reaches.  A slice whose closure is full on its own
+    nodes is one block.
     """
-    n = a.shape[1]
+    k, n, _ = a.shape
     reach = (a != 0.0) | np.eye(n, dtype=bool)
     while True:
         nxt = reach @ reach
@@ -115,12 +121,15 @@ def _scc_blocks(a: np.ndarray):
         reach = nxt
     labels = (reach & reach.transpose(0, 2, 1)).argmax(axis=2).tolist()
     out = []
-    for full, row in zip(reach.all(axis=(1, 2)).tolist(), labels):
-        if full:
-            out.append([list(range(n))])
+    # a pad node reaches only itself, so a slice's closure is full on its
+    # own m nodes iff it holds m·m + (N − m) pairs
+    for pairs, m, row in zip(reach.sum(axis=(1, 2)).tolist(),
+                             [n] * k if orders is None else orders, labels):
+        if pairs == m * m + n - m:
+            out.append([list(range(m))])
             continue
         blocks = {}  # first node -> block, in order of first node
-        for i, first in enumerate(row):
+        for i, first in enumerate(row[:m]):
             blocks.setdefault(first, []).append(i)
         out.append(list(blocks.values()))
     return out
@@ -133,6 +142,31 @@ def _by_order(mats):
     for i, a in enumerate(mats):
         groups.setdefault(a.shape[0], []).append(i)
     return groups
+
+
+PAD = 4  # a stack of ``_stacks`` has an order that is a multiple of PAD
+
+
+def _stacks(mats, diag: float = 0.0):
+    """The square arrays of a list, of any orders, as stacks: per bucket
+    order N = PAD·⌈n/PAD⌉, (indices, orders, (k, N, N) stack), each array in
+    the leading block of its slice and ``diag`` on the rest of the
+    diagonal.  A zero pad (diag 0) adds nodes without edges and keeps the
+    Perron root; an identity pad (diag 1) keeps the M-matrix class, and
+    the inverse's leading block is the array's inverse.  The bucket of an
+    array depends only on its own order, so each slice gets the same bits
+    in any call as alone."""
+    groups = {}
+    for i, a in enumerate(mats):
+        groups.setdefault(-(-a.shape[0] // PAD) * PAD, []).append(i)
+    for size, idx in groups.items():
+        orders = [mats[i].shape[0] for i in idx]
+        stack = np.zeros((len(idx), size, size))
+        if diag:
+            stack[:] = diag * np.eye(size)  # each array overwrites its block
+        for s, i, n in zip(stack, idx, orders):
+            s[:n, :n] = mats[i]
+        yield idx, orders, stack
 
 
 def classify(a) -> MatrixClassification:

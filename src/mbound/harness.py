@@ -10,9 +10,10 @@ index), so results do not depend on execution order and suites may fan out.
 A suite runs in three passes.  The first draws every trial's factors in
 the per-trial RNG order and, for M-matrix factors, takes every diagonal
 shift from one stacked Perron solve and gates every factor with one
-stacked elimination per order.  The second lists each trial's spectral
-problems (``Family.problems``) and solves those of all trials in one
-stacked call (``spectral.solve``).  The third evaluates the
+identity-padded elimination per bucket order 4·⌈n/4⌉.  The second lists
+each trial's spectral problems (``Family.problems``) and solves those of
+all trials in one stacked call (``spectral.solve``), whose stacks are
+padded to bucket orders too.  The third evaluates the
 ladders and the structural checks of all trials of one order as one
 (T, n, n) stack (``Family.assess``), and the per-trial ``BoundResult`` and
 ``TrialReport`` records are built at the end.  One tuple of factors, such
@@ -43,7 +44,7 @@ import numpy as np
 from . import _lu, bounds, spectral
 from .bounds import _diag
 from .core import (_by_order, _fan_power, _fan_product, _finite, _hadamard,
-                   _scale_similarity, as_matrix, classify)
+                   _scale_similarity, _stacks, as_matrix, classify)
 from .errors import ClassMismatchError, MboundError, unwrap
 from .spectral import _jacobi_matrix
 
@@ -162,9 +163,10 @@ def _shift_to_m(ps, margin: float) -> list:
     """``gen_m_matrix``'s shift and gate for a list of nonnegative P: per
     P, alpha*I − P or the error ``gen_m_matrix`` raises for it.  Every
     rho(P) comes from one ``spectral.solve`` call and every gate from one
-    ``_lu.m_factor`` call per order, so a P gets the same bits here as
-    alone.  alpha is a Python float, so an overflow gives inf without a
-    floating-point warning."""
+    ``_lu.m_factor`` call per bucket order 4·⌈n/4⌉ (``core._stacks``, an
+    identity pad), so a P gets the same bits here as alone.  alpha is a
+    Python float, so an overflow gives inf without a floating-point
+    warning."""
     out = spectral.solve([("rho", p) for p in ps])
     for i, (p, r) in enumerate(zip(ps, out)):
         if isinstance(r, Exception):
@@ -175,14 +177,12 @@ def _shift_to_m(ps, margin: float) -> list:
         else:
             out[i] = ValueError("the diagonal shift rho(P)(1 + margin) "
                                 "overflows float64")
-    for idx in _by_order(ps).values():
-        idx = [i for i in idx if not isinstance(out[i], Exception)]
-        if not idx:
-            continue
-        ok = _lu.m_factor(np.stack([out[i] for i in idx]))[1]
-        for i, good in zip(idx, ok.tolist()):
+    made = [i for i, m in enumerate(out) if not isinstance(m, Exception)]
+    for idx, orders, stack in _stacks([out[i] for i in made], diag=1.0):
+        ok = _lu.m_factor(stack, max(orders))[1]
+        for j, good in zip(idx, ok.tolist()):
             if not good:
-                out[i] = ClassMismatchError(
+                out[made[j]] = ClassMismatchError(
                     "generated matrix failed M-matrix classification")
     return out
 

@@ -5,12 +5,15 @@ with a Collatz–Wielandt bracket; no library eigensolver is involved, so the
 test suite can cross-check against one independently.
 
 ``solve`` takes a list of problems of any orders, ρ of a nonnegative matrix
-or τ of a nonsingular M-matrix.  The τ problems of one order are one stacked
-elimination and inverse (``_lu.m_factor``/``m_inverse``).  Their inverses
-and the ρ problems go to one Perron driver (``_perron``), which iterates
-every irreducible matrix and every strongly connected block of a reducible
-one in one stack per block order and wave.  Every block gets the same bits
-as a stack of one, and an error belongs to its own problem.
+or τ of a nonsingular M-matrix.  Every stack is padded to its bucket order
+N = 4·⌈n/4⌉ (``core._stacks``), so orders 1–4, 5–8 and 9–12 share a
+stack.  The τ problems of one bucket are one stacked elimination and
+inverse (``_lu.m_factor``/``m_inverse``) with an identity pad.  Their
+inverses and the ρ problems go to one Perron driver (``_perron``), which
+iterates every irreducible matrix and every strongly connected block of a
+reducible one in one zero-padded stack per bucket and wave.  A block's
+bucket depends only on its own order, so every block gets the same bits
+in any call as a stack of one, and an error belongs to its own problem.
 ``rho_nonnegative`` and ``tau_m_matrix`` are stacks of one.
 """
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import _lu
-from .core import _by_order, _scc_blocks, as_matrix
+from .core import _scc_blocks, _stacks, as_matrix
 from .errors import ClassMismatchError, ConvergenceError, unwrap
 
 __all__ = [
@@ -55,9 +58,16 @@ _SQUARINGS = 6  # power-iterate m^(2^6): same bracket, 64x the convergence rate
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _power_perron(a: np.ndarray, below):
+def _power_perron(a: np.ndarray, orders, below):
     """Power iteration on the primitive shift a + cI, c = max entry of a,
-    for each slice of a (k, n, n) stack.
+    for each slice of a (k, N, N) stack whose slice i is a zero-padded
+    irreducible matrix of order ``orders[i]`` (``core._stacks``).
+
+    The shift goes on the slice's own diagonal only, and the pad entries
+    of the iterate start at 0, so they stay 0: the pad never feeds the
+    slice's own rows.  A mask keeps their ratios (0/0) out of the
+    Collatz–Wielandt bracket, and the vector is cut back to order
+    ``orders[i]``.
 
     The shift scales with a, so the iteration count and the relative
     accuracy do not depend on the scale of the input (each slice is
@@ -82,12 +92,13 @@ def _power_perron(a: np.ndarray, below):
     as a stack of one.  ``below`` holds a floor or None per slice.
     """
     k, n, _ = a.shape
+    real = np.arange(n) < np.asarray(orders)[:, None]  # (k, N)
     c = a.max(axis=(1, 2))
-    m_pow = a + c[:, None, None] * np.eye(n)
+    m_pow = a + c[:, None, None] * (np.eye(n) * real[:, None, :])
     # invariant: rho(m) = exp(log_scale) * rho(m_pow)^(1/2^e)
     maxima = []
     for e in range(_SQUARINGS):
-        s = m_pow.max(axis=(1, 2))
+        s = np.maximum.reduce(m_pow, axis=(1, 2))
         scaled = m_pow / s[:, None, None]
         m_pow = scaled @ scaled
         maxima.append(s)
@@ -108,20 +119,21 @@ def _power_perron(a: np.ndarray, below):
     any_floor = bool(floored.any())
     out = [None] * k
     live = np.arange(k)
-    v = np.ones((k, n))
+    v = real.astype(float)
     lam_prev = np.full(k, np.inf)
     for it in range(1, MAX_ITER + 1):
         w = (m_pow @ v[:, :, None])[:, :, 0]
-        ratios = w / v  # v > 0 unless an entry underflowed
-        hi = ratios.max(axis=1)
-        width = (hi - ratios.min(axis=1)) / hi
+        ratios = w / v  # v > 0 unless an entry underflowed; 0/0 on the pad
+        hi = np.maximum.reduce(ratios, axis=1, where=real, initial=-np.inf)
+        lo = np.minimum.reduce(ratios, axis=1, where=real, initial=np.inf)
+        width = (hi - lo) / hi
         # a NaN width stops the slice too
         stop = ~((width > width_tol)
                  | (np.abs(hi - lam_prev) > width_tol * hi))
         if any_floor:
             for j in np.flatnonzero(floored).tolist():
                 stop[j] |= root(live[j], float(hi[j])) < below[live[j]]
-        top = w.max(axis=1)
+        top = np.maximum.reduce(w, axis=1)
         if stop.any():
             for j in np.flatnonzero(stop).tolist():
                 i = int(live[j])
@@ -129,12 +141,12 @@ def _power_perron(a: np.ndarray, below):
                                            f"range in round {it}",
                                            root(i, float(lam_prev[j])))
                           if math.isnan(width[j]) else
-                          (root(i, float(hi[j])), w[j] / top[j], it,
-                           float(width[j]) / scale2))
+                          (root(i, float(hi[j])), w[j, :orders[i]] / top[j],
+                           it, float(width[j]) / scale2))
             keep = ~stop
-            live, m_pow, w, hi, top, floored = (
+            live, m_pow, w, hi, top, floored, real = (
                 live[keep], m_pow[keep], w[keep], hi[keep], top[keep],
-                floored[keep])
+                floored[keep], real[keep])
             if not live.size:
                 return out
         lam_prev = hi
@@ -176,27 +188,30 @@ def _perron(mats) -> list:
     """Per finite square array of ``mats``, of any orders, its Perron root
     as a SpectralResult, or the error it raises.
 
-    The blocks of all arrays (``_root``) go in waves: wave 0 holds every
-    irreducible array and the first block of each reducible one, wave w
-    the w-th block of each reducible array still running.  Each block
-    order of a wave is one ``_power_perron`` stack.
+    The arrays are gated and split into blocks in one zero-padded stack
+    per bucket order.  The blocks of all arrays (``_root``) go in waves:
+    wave 0 holds every irreducible array and the first block of each
+    reducible one, wave w the w-th block of each reducible array still
+    running.  Each bucket of block orders in a wave is one
+    ``_power_perron`` stack.
     """
     out = [None] * len(mats)
     wave = []  # (array index, its generator, what to send it)
-    for idx in _by_order(mats).values():
-        a = np.stack([mats[i] for i in idx])
+    for idx, orders, a in _stacks(mats):
         good = []
-        for j, negative in enumerate(np.any(a < 0.0, axis=(1, 2)).tolist()):
+        for j, (i, n, negative) in enumerate(zip(
+                idx, orders, np.any(a < 0.0, axis=(1, 2)).tolist())):
             if negative:
-                out[idx[j]] = ClassMismatchError("not nonnegative")
-            elif a.shape[1] > 1:
+                out[i] = ClassMismatchError("not nonnegative")
+            elif n > 1:
                 good.append(j)
             else:
                 val = float(a[j, 0, 0])
-                out[idx[j]] = SpectralResult(
+                out[i] = SpectralResult(
                     val, np.ones(1) if val != 0.0 else None, 0, 0.0)
-        for j, blocks in zip(good, _scc_blocks(a[good])):
-            wave.append((idx[j], _root(a[j], blocks), None))
+        for j, blocks in zip(good, _scc_blocks(a[good],
+                                               [orders[j] for j in good])):
+            wave.append((idx[j], _root(mats[idx[j]], blocks), None))
     while wave:
         jobs = []  # (array index, generator, block, floor)
         for i, gen, sent in wave:
@@ -205,31 +220,33 @@ def _perron(mats) -> list:
             except StopIteration as done:
                 out[i] = done.value
         wave = []
-        for group in _by_order([job[2] for job in jobs]).values():
-            res = _power_perron(np.stack([jobs[g][2] for g in group]),
-                                [jobs[g][3] for g in group])
+        for group, orders, a in _stacks([job[2] for job in jobs]):
+            res = _power_perron(a, orders, [jobs[g][3] for g in group])
             wave += [(*jobs[g][:2], r) for g, r in zip(group, res)]
     return out
 
 
-def _m_inverses(a: np.ndarray) -> list:
-    """Per slice of a (k, n, n) stack, its inverse from the unpivoted
-    elimination that is also the M-matrix gate (entrywise >= 0, exactly 0
-    wherever the digraph of the slice has no path), or the error it
-    raises: ClassMismatchError for a slice that fails the gate, ValueError
-    for an inverse that overflows float64."""
-    lu, ok, e = _lu.m_factor(a)
-    inv = _lu.m_inverse(lu[ok], e[ok])
-    finite = np.isfinite(inv).all(axis=(1, 2)).tolist()
-    out = []
-    j = 0
-    for good in ok.tolist():
-        if not good:
-            out.append(ClassMismatchError("not a nonsingular M-matrix"))
-            continue
-        out.append(inv[j] if finite[j] else
-                   ValueError("the inverse of this M-matrix overflows float64"))
-        j += 1
+def _m_inverses(mats) -> list:
+    """Per square array of ``mats``, of any orders, its inverse from the
+    unpivoted elimination that is also the M-matrix gate (entrywise >= 0,
+    exactly 0 wherever the digraph of the array has no path), or the error
+    it raises: ClassMismatchError for an array that fails the gate,
+    ValueError for an inverse that overflows float64.  Each bucket order
+    is one identity-padded stack (``core._stacks``): the pad passes the
+    gate, and the leading block of the inverse is the array's inverse."""
+    out = [None] * len(mats)
+    for idx, orders, a in _stacks(mats, diag=1.0):
+        lu, ok, e = _lu.m_factor(a, max(orders))
+        inv = _lu.m_inverse(lu[ok], e[ok], max(orders))
+        finite = np.isfinite(inv).all(axis=(1, 2)).tolist()
+        j = 0
+        for i, n, good in zip(idx, orders, ok.tolist()):
+            if not good:
+                out[i] = ClassMismatchError("not a nonsingular M-matrix")
+                continue
+            out[i] = (inv[j, :n, :n] if finite[j] else ValueError(
+                "the inverse of this M-matrix overflows float64"))
+            j += 1
     return out
 
 
@@ -240,17 +257,15 @@ def solve(problems) -> list:
 
     Returns per problem, in order, its SpectralResult, or the exception it
     raises when solved alone (see ``errors.unwrap``).  The τ problems of
-    one order are factored and inverted as one stack, and their inverses
-    join the ρ problems of every order in one ``_perron`` call.  τ(a) is
-    1/ρ(a⁻¹); a⁻¹ is entrywise >= 0, so its Perron vector is the
-    eigenvector of a.
+    one bucket order (4·⌈n/4⌉) are factored and inverted as one stack,
+    and their inverses join the ρ problems of every order in one
+    ``_perron`` call.  τ(a) is 1/ρ(a⁻¹); a⁻¹ is entrywise >= 0, so its
+    Perron vector is the eigenvector of a.
     """
     out = [a for _, a in problems]
     taus = [i for i, (kind, _) in enumerate(problems) if kind == "tau"]
-    for idx in _by_order([out[i] for i in taus]).values():
-        idx = [taus[t] for t in idx]
-        for i, inv in zip(idx, _m_inverses(np.stack([out[i] for i in idx]))):
-            out[i] = inv
+    for i, inv in zip(taus, _m_inverses([out[i] for i in taus])):
+        out[i] = inv
     good = [i for i, a in enumerate(out) if not isinstance(a, Exception)]
     for i, r in zip(good, _perron([out[i] for i in good])):
         if problems[i][0] == "tau" and isinstance(r, SpectralResult):

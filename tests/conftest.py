@@ -50,5 +50,5 @@ def product_with_inverse_is_m(a, b):
     """The Fiedler–Markham lemma on one pair: B ∘ A⁻¹ passes the M-matrix
     elimination.  A⁻¹ comes from the M-matrix gate, whose exact zeros keep
     B's Z-pattern."""
-    ainv = unwrap(_m_inverses(a[None])[0])
+    ainv = unwrap(_m_inverses([a])[0])
     return bool(_lu.m_factor((b * ainv)[None])[1][0])

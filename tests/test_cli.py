@@ -14,8 +14,9 @@ from click.testing import CliRunner
 from mbound import __version__
 from mbound.cli import main, read_matrix
 from mbound.errors import MatrixFormatError
-from mbound.harness import (WORKED_FAN_A, WORKED_FAN_B, WORKED_HADAMARD_A,
-                            WORKED_HADAMARD_B, WORKED_HINV_A, WORKED_HINV_B)
+from mbound.harness import (FAMILIES, WORKED_FAN_A, WORKED_FAN_B,
+                            WORKED_HADAMARD_A, WORKED_HADAMARD_B,
+                            WORKED_HINV_A, WORKED_HINV_B)
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -370,6 +371,14 @@ def test_bounds_multi_fan_bad_exponents(runner):
     res = runner.invoke(main, ["bounds", "multi-fan", fixture("ex31_a.txt"),
                                fixture("ex31_b.txt"), "--p", "3,4"])
     assert res.exit_code == 2
+
+
+def test_fan_oracle_on_the_ex31_fixtures():
+    # perfbench times `bounds fan` on these files and fails the run when
+    # the oracle leaves 1e-12 of this value, far inside GOLDEN's tolerance
+    mats = [read_matrix(fixture(f"ex31_{k}.txt")) for k in "ab"]
+    oracle, _ = FAMILIES["fan"].evaluate(mats, None)
+    assert abs(oracle - 0.937703658712982) <= 1e-12
 
 
 @pytest.mark.parametrize("family, stem", [

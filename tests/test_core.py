@@ -9,7 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 import mbound
 from mbound.core import (_fan_power, _fan_product, _hadamard,
-                         _scale_similarity, _scc_blocks, as_matrix, classify)
+                         _scale_similarity, _scc_blocks, _stacks, as_matrix,
+                         classify)
 from mbound.errors import MatrixFormatError
 from conftest import random_m_matrix, random_nonnegative
 
@@ -285,3 +286,9 @@ def test_scc_blocks_match_the_per_node_loop(n, k, seed, density):
         perm = rng.permutation(n)
         a[i] = a[i][np.ix_(perm, perm)]
     assert _scc_blocks(a) == [_scc_blocks_per_node(s) for s in a]
+    # leading blocks of other orders, zero-padded to their bucket order:
+    # the pad nodes are dropped and make no slice reducible
+    mats = list(a) + [s[:m, :m] for s, m in zip(a, rng.integers(1, n + 1, k))]
+    for idx, orders, stack in _stacks(mats):
+        assert _scc_blocks(stack, orders) == [_scc_blocks_per_node(mats[i])
+                                              for i in idx]

@@ -4,12 +4,13 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from mbound import harness
 from mbound.bounds import HolderExponents
 from mbound.core import classify
+from mbound.errors import MboundError
 from mbound.harness import (GeneratorSpec, GOLDEN, gen_m_matrix,
                             gen_nonnegative, run_fan_suite, run_hadamard_suite,
                             run_hinv_suite, run_multi_fan_suite)
@@ -380,3 +381,34 @@ def test_digest_matches_the_per_entry_formula(n):
               rng.choice(edge, (n, n)),
               np.zeros((n, n))):
         assert harness._digest(a) == _digest_per_entry(a)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), family=st.sampled_from(
+    list(harness.FAMILIES)), regime=st.sampled_from([
+        (2, 8, 1.0, 0.5, 12),  # suite-dense, the verify defaults
+        (10, 12, 0.3, 0.05, 4),  # suite-sparse-large
+        (2, 12, 0.3, 0.05, 8),  # every bucket order, reducible patterns
+    ]))
+@settings(max_examples=60, deadline=None)
+def test_suite_inputs_rebuild_at_any_spec_seed(seed, family, regime):
+    # the benchmark's gate on every trial of a suite call: rebuilding trial
+    # t from its own stream, one generator call per factor, gives the
+    # digests the suite reports, whatever else its stacks held
+    order_min, order_max, density, margin, trials = regime
+    fam = harness.FAMILIES[family]
+    spec = GeneratorSpec(kind=fam.kind, order=order_min, density=density,
+                         seed=seed, diagonal_margin=margin)
+    exponents = HolderExponents((2, 2)) if family == "multi-fan" else None
+    try:
+        reports = harness.run_suite(fam, trials, spec, order_min=order_min,
+                                    order_max=order_max, exponents=exponents)
+    except MboundError:
+        reject()  # a trial that raises ends the suite without reports
+    gen = gen_nonnegative if fam.kind == "nonnegative" else gen_m_matrix
+    assert len(reports) == trials
+    for t, rep in enumerate(reports):
+        rng = harness._trial_rng(spec.seed, t)
+        n = harness._sample_order(rng, order_min, order_max)
+        mats = [gen(spec, rng=rng, order=n) for _ in range(2)]
+        assert (rep.trial, rep.order) == (t, n)
+        assert rep.digests == tuple(_digest_per_entry(a) for a in mats)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbound import _lu, spectral
-from mbound.core import _fan_product
+from mbound.core import _fan_product, _stacks
 from mbound.errors import (ClassMismatchError, ConvergenceError,
                            SingularMatrixError)
 from mbound.harness import GeneratorSpec, _sample_order, _trial_rng, gen_m_matrix
@@ -319,6 +319,30 @@ def test_m_factor_scaling_is_exact(n, seed, density, margin, s):
                                   _lu.m_inverse(lu[None], np.ones((1, n))))
 
 
+@given(k=st.integers(1, 6), seed=st.integers(0, 10 ** 6), density=densities,
+       margin=st.sampled_from([0.5, 0.05, -0.05]))
+@settings(max_examples=80, deadline=None)
+def test_padded_elimination_skips_the_pad_bit_for_bit(k, seed, density,
+                                                      margin):
+    # past a stack's largest order every slice is identity pad: skipping
+    # those pivots and rows leaves each verdict, each ok slice's factors
+    # and each leading block of the inverse bit for bit; a negative margin
+    # makes some slices fail the gate
+    rng = np.random.default_rng(seed)
+    mats = [random_m_matrix(rng, int(rng.integers(1, 13)), margin=margin,
+                            density=density) for _ in range(k)]
+    for _, orders, stack in _stacks(mats, diag=1.0):
+        m = max(orders)
+        lu, ok, e = _lu.m_factor(stack)
+        lu_m, ok_m, e_m = _lu.m_factor(stack, m)
+        assert np.array_equal(ok, ok_m) and np.array_equal(e, e_m)
+        assert np.array_equal(lu[ok], lu_m[ok])
+        inv = _lu.m_inverse(lu[ok], e[ok])
+        inv_m = _lu.m_inverse(lu_m[ok], e[ok], m)
+        for j, n in enumerate(np.array(orders)[ok].tolist()):
+            assert np.array_equal(inv[j, :n, :n], inv_m[j, :n, :n])
+
+
 def _same_outcome(x, y):
     if isinstance(x, Exception) or isinstance(y, Exception):
         return (type(x) is type(y) and str(x) == str(y)
@@ -386,11 +410,12 @@ def _reducible(rng, n):
 
 
 def _mixed_problems(rng, k):
-    """k ρ problems of orders 1..12, random or reducible, and the τ
-    problem of a diagonal shift of each, which may fail the gate."""
+    """k ρ problems of orders 1..16, random or reducible, and the τ
+    problem of a diagonal shift of each, which may fail the gate.  Orders
+    13..16 lie above the suites' cap, in a bucket of their own."""
     problems = []
     for _ in range(k):
-        n = int(rng.integers(1, 13))
+        n = int(rng.integers(1, 17))
         p = (_reducible(rng, n) if rng.integers(2)
              else random_nonnegative(rng, n, rng.choice([1.0, 0.3])))
         rho = np_rho(p)
@@ -438,3 +463,40 @@ def test_rho_equal_size_blocks_abandon_the_second():
                                        dtype=float))
     assert swapped.value == pytest.approx(5.0, rel=1e-12)
     assert swapped.iterations == 4
+
+
+def _bucket_order_problems():
+    """ρ and τ problems that no stack pads: irreducible ones of orders 4, 8
+    and 12, and reducible ones whose blocks have orders 1, 4 and 8 (ρ, of
+    order 13) and 4 and 8 (τ, of order 12)."""
+    rng = np.random.default_rng(19)
+    problems = [("rho", rng.uniform(0.0, 1.0, (n, n))) for n in (4, 8, 12)]
+    problems += [("tau", n * np.eye(n) - rng.uniform(0.0, 1.0, (n, n)))
+                 for n in (8, 12)]
+    a = np.triu(rng.uniform(0.0, 1.0, (13, 13)), 1)
+    for lo, hi in ((0, 1), (1, 5), (5, 13)):
+        a[lo:hi, lo:hi] = rng.uniform(0.1, 1.0, (hi - lo, hi - lo))
+    perm = rng.permutation(13)
+    problems.append(("rho", a[np.ix_(perm, perm)]))
+    p = np.triu(rng.uniform(0.0, 1.0, (12, 12)), 1)
+    for lo, hi in ((0, 4), (4, 12)):
+        p[lo:hi, lo:hi] = rng.uniform(0.0, 1.0, (hi - lo, hi - lo))
+    perm = perm[perm < 12]
+    problems.append(("tau", 12.0 * np.eye(12) - p[np.ix_(perm, perm)]))
+    return problems
+
+
+def test_bucket_orders_keep_their_bits():
+    # a matrix or block whose order is a multiple of 4 fills its stack
+    # slice, so it gets the bits of the unpadded solver, pinned here
+    pinned = ["0x1.29ff1445d415ep+1", "0x1.eef55f3cd687bp+1",
+              "0x1.7a44b66788066p+2", "0x1.e81cb0a136666p+1",
+              "0x1.88d589d526268p+2", "0x1.190e7f75cf2a1p+2",
+              "0x1.ecdc0f7df4ad6p+2"]
+    problems = _bucket_order_problems()
+    solved = spectral.solve(problems)
+    assert [r.value for r in solved] == [float.fromhex(h) for h in pinned]
+    assert [r.eigenvector is None for r in solved] == [False] * 5 + [True] * 2
+    for (kind, a), r in zip(problems, solved):
+        ref = np_rho(a) if kind == "rho" else np_tau(a)
+        assert r.value == pytest.approx(ref, rel=1e-12)
