@@ -71,7 +71,8 @@ class _Log:
     """Per slice of a stack, the clamp warnings and the first error of its
     evaluation, in the order a one-at-a-time evaluation meets them.  A
     slice records nothing after its error: its later steps run on
-    placeholder values only to keep the stack whole."""
+    placeholder values only to keep the stack whole.  A spectral error
+    never gets here: it ends its trial in ``harness.Family.solve``."""
 
     def __init__(self, k: int):
         self.warnings = [[] for _ in range(k)]
@@ -82,15 +83,11 @@ class _Log:
             if hit and self.errors[i] is None:
                 self.warnings[i].append(values[i])
 
-    def fail(self, i: int, exc: Exception) -> None:
-        if self.errors[i] is None:
-            self.errors[i] = exc
-
     def fail_where(self, mask, error) -> None:
-        """``fail(i, error(i))`` for each slice i in mask."""
+        """Record error(i) for each slice i in mask that has no error yet."""
         for i, hit in enumerate(mask.tolist()):
-            if hit:
-                self.fail(i, error(i))
+            if hit and self.errors[i] is None:
+                self.errors[i] = error(i)
 
     def flush(self, i: int) -> None:
         """Log slice i's warnings, then raise its error if it has one."""

@@ -332,9 +332,9 @@ class Family:
     where) triples of (T,) arrays (``where`` None for a check every slice
     has), and the dominance hypothesis and verdict as (T,) arrays or None.
     Both record each slice's clamp warnings and errors in ``log``.
-    ``check_problems(mats, exponents)`` lists the spectral problems the
-    checks need, whose outcomes a suite hands them in ctx["checked"].
-    A ``holder`` family takes one factor per Hölder exponent.
+    ``problems`` lists every spectral problem, the factor gates included,
+    and the checks read their values from it too.  A ``holder`` family
+    takes one factor per Hölder exponent.
     """
 
     kind: str  # GeneratorSpec kind of the generated factors
@@ -345,7 +345,6 @@ class Family:
     problems: Callable
     ladder: Callable
     checks: Callable
-    check_problems: Callable = lambda mats, exponents: []
     holder: bool = False
 
     def arity(self, exponents) -> int:
@@ -360,13 +359,10 @@ class Family:
             raise ValueError("this family needs Hölder exponents")
         return len(exponents.p)
 
-    def solve(self, trials, exponents, checked: bool = False) -> list:
+    def solve(self, trials, exponents) -> list:
         """Per tuple of factors in ``trials``, (values, ctx) or the first
-        error its evaluation meets: every tuple's spectral problems, and
-        with ``checked`` its checks' problems, are solved by one
-        ``spectral.solve`` call.  The checks' outcomes
-        go to ctx["checked"] unopened, so that an error among them is
-        raised by the check that reads it."""
+        error its evaluation meets: the spectral problems of every tuple
+        are solved by one ``spectral.solve`` call."""
         todos, ctxs = [], []
         for mats in trials:
             todo = []
@@ -374,19 +370,14 @@ class Family:
                 ctx = self.problems(mats, exponents, todo)
             except (MboundError, ValueError) as exc:
                 ctx = exc  # met after the problems already listed
-            more = (self.check_problems(mats, exponents)
-                    if checked and not isinstance(ctx, Exception) else [])
-            todos.append((todo, more))
+            todos.append(todo)
             ctxs.append(ctx)
-        results = iter(spectral.solve([p for todo, more in todos
-                                       for p in todo + more]))
+        results = iter(spectral.solve([p for todo in todos for p in todo]))
         out = []
-        for (todo, more), ctx in zip(todos, ctxs):
+        for todo, ctx in zip(todos, ctxs):
             res = [next(results) for _ in todo]
-            ctx_checked = [next(results) for _ in more]
             failed = [r for r in res + [ctx] if isinstance(r, Exception)]
-            out.append(failed[0] if failed else
-                       ([r.value for r in res], {**ctx, "checked": ctx_checked}))
+            out.append(failed[0] if failed else ([r.value for r in res], ctx))
         return out
 
     def assess(self, trials, solved, exponents, checked: bool = True) -> list:
@@ -543,16 +534,16 @@ def _fan_checks(mats, exponents, oracle, ladder, ctx, lg):
 
 
 def _hinv_problems(mats, exponents, todo):
-    """B's class comes from one ``classify``, which gates B and says
-    whether B is already strictly row dominant.  B⁻¹ is the pivoted
-    inverse; one that overflows raises as an M-matrix inverse does."""
+    """τ(A), then one ``classify(b)``, which gates B and says whether B is
+    already strictly row dominant, then B⁻¹, the pivoted inverse of a B that
+    passed: every error of B comes after A's.  A B⁻¹ that overflows raises
+    as an M-matrix inverse does."""
     a, b = mats
-    binv = _lu.inverse(b)
     todo.append(("tau", a))
     cls = classify(b)
     if not cls.nonsingular_m_matrix:
         raise ClassMismatchError("not a nonsingular M-matrix")
-    _finite(binv, "inverse of this M-matrix")
+    binv = _finite(_lu.inverse(b), "inverse of this M-matrix")
     todo.append(("rho", _jacobi_matrix(a)))
     todo.append(("rho", _jacobi_matrix(b)))
     todo.append(("tau", _hadamard(a, binv)))
@@ -589,8 +580,13 @@ def _hinv_checks(mats, exponents, oracle, ladder, ctx, lg):
 
 
 def _multi_fan_problems(mats, exponents, todo):
+    """τ of the m Fan powers (values[:, :m]), then τ of each factor whose
+    power is not itself (p_k ≠ 1), which gates it as an M-matrix, then τ
+    of the product.  ``_fan_power(A, 1)`` is an exact copy of A, whose τ
+    gates A already, so no problem is listed twice."""
     for mk, pk in zip(mats, exponents.p):
         todo.append(("tau", _fan_power(mk, pk)))
+    todo += [("tau", mk) for mk, pk in zip(mats, exponents.p) if pk != 1]
     acc = mats[0]
     for mk in mats[1:]:
         acc = _fan_product(acc, mk)
@@ -599,16 +595,10 @@ def _multi_fan_problems(mats, exponents, todo):
 
 
 def _multi_fan_ladder(mats, exponents, values, ctx, lg):
-    taus_pow, oracle = values[:, :-1], values[:, -1]
+    taus_pow, oracle = values[:, :len(mats)], values[:, -1]
     ladder = (bounds._tau_multi_fan(mats, exponents, taus_pow, lg),)
-    return oracle, ladder, {**ctx, "taus_pow": taus_pow}
-
-
-def _multi_fan_check_problems(mats, exponents):
-    """τ of the two factors, for the (2,2) check that the chain bound
-    clears τ(A)·τ(B)."""
-    return ([("tau", mats[0]), ("tau", mats[1])] if exponents.p == (2, 2)
-            else [])
+    return oracle, ladder, {**ctx, "taus_pow": taus_pow,
+                            "taus_gated": values[:, len(mats):-1]}
 
 
 def _multi_fan_checks(mats, exponents, oracle, ladder, ctx, lg):
@@ -616,7 +606,7 @@ def _multi_fan_checks(mats, exponents, oracle, ladder, ctx, lg):
     matrix itself, exponents (1,1) reproduce the affine two-matrix bound to
     1e-12.  ``_fan_power(A, 1)`` is an exact copy of A, so tau of the first
     powers is tau of the factors.  At (2,2) the chain bound must clear
-    τ(A)·τ(B), with both τ from ctx["checked"]."""
+    τ(A)·τ(B), the τ of the two factors' gates."""
     value = ladder[0].values
     p, taus = exponents.p, ctx["taus_pow"]
     checks = []
@@ -629,13 +619,7 @@ def _multi_fan_checks(mats, exponents, oracle, ladder, ctx, lg):
         checks.append(("identity_affine",
                        np.abs(value - affine.values) <= 1e-12, None))
     if p == (2, 2):
-        ab = np.ones((len(value), 2))
-        for t, rs in enumerate(ctx["checked"]):
-            failed = [r for r in rs if isinstance(r, Exception)]
-            if failed:
-                lg.fail(t, failed[0])
-            else:
-                ab[t] = [r.value for r in rs]
+        ab = ctx["taus_gated"]
         checks.append(("chain_over_product",
                        value >= ab[:, 0] * ab[:, 1] - VIOLATION_TOL, None))
     return checks, None, None
@@ -658,7 +642,7 @@ FAMILIES = {
     "multi-fan": Family(
         "m_matrix", (WORKED_FAN_A, WORKED_FAN_B, WORKED_FAN_A), "multi-fan",
         "tau_multi_fan", True, _multi_fan_problems, _multi_fan_ladder,
-        _multi_fan_checks, _multi_fan_check_problems, holder=True),
+        _multi_fan_checks, holder=True),
 }
 
 
@@ -695,8 +679,7 @@ def run_suite(family: Family, trials: int, spec: GeneratorSpec,
         mats = drawn[t * m:(t + 1) * m]
         made.append(next((x for x in mats if isinstance(x, Exception)), mats))
     good = [t for t, mats in enumerate(made) if not isinstance(mats, Exception)]
-    solved = dict(zip(good, family.solve([made[t] for t in good], exponents,
-                                         checked=True)))
+    solved = dict(zip(good, family.solve([made[t] for t in good], exponents)))
     # a one-at-a-time evaluation stops at the first trial that fails to
     # generate or to solve; the trials before it are assessed as stacks
     stop = next((t for t in range(trials) if isinstance(made[t], Exception)

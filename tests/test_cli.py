@@ -13,7 +13,8 @@ from click.testing import CliRunner
 
 from mbound import __version__
 from mbound.cli import main, read_matrix
-from mbound.errors import MatrixFormatError
+from mbound.bounds import HolderExponents
+from mbound.errors import ClassMismatchError, MatrixFormatError
 from mbound.harness import (FAMILIES, WORKED_FAN_A, WORKED_FAN_B,
                             WORKED_HADAMARD_A, WORKED_HADAMARD_B,
                             WORKED_HINV_A, WORKED_HINV_B)
@@ -353,18 +354,50 @@ def test_pair_family_rejects_p(runner, command, family, stem):
     assert "takes no Hölder exponents" in res.stderr
 
 
-@pytest.mark.parametrize("scale, code, message", [
-    (1e-320, 2, "the inverse of this M-matrix overflows"),
-    (1.0, 3, "not a nonsingular M-matrix")])
-def test_bounds_hinv_step_order(runner, tmp_path, scale, code, message):
-    # B is nonsingular but not an M-matrix: A's own error comes first, and
-    # a valid A meets B's class gate
+NOT_Z = [[1.0, 2.0], [3.0, 1.0]]  # nonsingular, not a Z-matrix
+
+
+@pytest.mark.parametrize("scale, mat_b, code, message", [
+    pytest.param(1e-320, NOT_Z, 2, "the inverse of this M-matrix overflows",
+                 id="1e-320-2-the inverse of this M-matrix overflows"),
+    pytest.param(1.0, NOT_Z, 3, "not a nonsingular M-matrix",
+                 id="1.0-3-not a nonsingular M-matrix"),
+    pytest.param(1e-320, [[1.0, 1.0], [1.0, 1.0]], 2,
+                 "the inverse of this M-matrix overflows",
+                 id="1e-320-singular-b-2"),
+    pytest.param(1.0, [[1.0, -1.0], [-1.0, 1.0]], 3,
+                 "not a nonsingular M-matrix", id="singular-z-b-3")])
+def test_bounds_hinv_step_order(runner, tmp_path, scale, mat_b, code,
+                                message):
+    # B is not a nonsingular M-matrix: A's own error comes first, even
+    # where B is singular, and a valid A meets B's class gate before B is
+    # inverted
     a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     _write(scale * np.eye(2), a)
-    _write(np.array([[1.0, 2.0], [3.0, 1.0]]), b)
+    _write(np.array(mat_b), b)
     res = runner.invoke(main, ["bounds", "hadamard-inverse", a, b])
     assert res.exit_code == code
     assert f"error: {message}" in res.stderr
+
+
+@pytest.mark.parametrize("mat_a, p", [
+    ([[2.0, 1.0], [1.0, 2.0]], "2,2"), ([[2.0, 0.0], [0.0, 2.0]], "1,2")],
+    ids=["both-not-z", "second-not-z"])
+def test_bounds_multi_fan_gates_its_factors(runner, tmp_path, mat_a, p):
+    # B = [[2, 1], [1, 2]] is not a Z-matrix, yet its Fan square
+    # [[4, -1], [-1, 4]] and its Fan product with either A are M-matrices:
+    # only the gate τ(B) meets B's class
+    mats = [np.array(mat_a), np.array([[2.0, 1.0], [1.0, 2.0]])]
+    paths = [str(tmp_path / f"{k}.txt") for k in "ab"]
+    for path, m in zip(paths, mats):
+        _write(m, path)
+    res = runner.invoke(main, ["bounds", "multi-fan", *paths, "--p", p])
+    assert res.exit_code == 3
+    assert "error: not a nonsingular M-matrix" in res.stderr
+    assert "Traceback" not in res.output + res.stderr
+    exponents = HolderExponents(tuple(int(x) for x in p.split(",")))
+    with pytest.raises(ClassMismatchError, match="not a nonsingular M-matrix"):
+        FAMILIES["multi-fan"].evaluate(mats, exponents)
 
 
 def test_bounds_multi_fan_bad_exponents(runner):

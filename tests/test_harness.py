@@ -128,7 +128,7 @@ def test_det_chains_pass_where_a_power_overflows(family):
     # chain holds instead of raising OverflowError or warning
     fam = harness.FAMILIES[family]
     mats = [1e100 * m for m in fam.worked]
-    solved = fam.solve([mats], None, checked=True)
+    solved = fam.solve([mats], None)
     lg, i, oracle, _, checks, *_ = fam.assess([mats], solved, None)[0]
     lg.flush(i)
     assert len(mats[0]) * np.log10(oracle) > 309  # oracle^n > float64 max
@@ -338,7 +338,7 @@ def test_stacked_ladder_and_checks_match_stacks_of_one(family, data, seed,
             margin = data.draw(st.sampled_from([0.5, 0.01]))
             trials.append([scale * random_m_matrix(rng, n, margin, density)
                            for _ in range(m)])
-    solved = fam.solve(trials, exponents, checked=True)
+    solved = fam.solve(trials, exponents)
     kept = [t for t, r in enumerate(solved) if not isinstance(r, Exception)]
     trials = [trials[t] for t in kept]
     solved = [solved[t] for t in kept]
