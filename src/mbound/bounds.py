@@ -23,13 +23,18 @@ tau_multi_fan         Hölder-exponent bound for an m-fold Fan product
 ====================  ======================================================
 
 Each rung has one kernel, ``_<rung>``, which evaluates it over a stack of
-T pairs of one order: factors are (T, n, n) arrays, spectral values are
-(T,) arrays, the stack's ``_Log`` comes last, and the result is a
-``_Rungs`` (a value and the components per slice).  The kernels take
-arrays that are already checked; the way into a ladder is
+T pairs of one bucket order N: factors are (T, N, N) arrays, each pair in
+the leading block of its slice and the identity on the rest
+(``core._stacks``), spectral values are (T,) arrays, the stack's ``_Log``
+comes last, and the result is a ``_Rungs`` (a value and the components per
+slice).  The log's mask ``real`` (T, N) says which indices of a slice are
+its pair's own; every minimum, maximum, oval pair, clamp and failure test
+reads only those, so the pad decides nothing.  The kernels take arrays
+that are already checked; the way into a ladder is
 ``harness.FAMILIES[name].evaluate`` for one tuple of factors, and
 ``harness.run_suite`` for a suite.  Every operation is elementwise or a
-reduction within a slice, so a slice gets the same bits in any stack.
+reduction within a slice, and a pair's bucket depends only on its order,
+so a slice gets the same bits in any stack.
 
 Every oval rung is one pairwise form (``_oval``) whose radicand factors as
 4·u_i·v_j, with u and v one entry per index; the scan runs over ordered
@@ -68,15 +73,20 @@ CLAMP_WARN = 1e-10
 
 
 class _Log:
-    """Per slice of a stack, the clamp warnings and the first error of its
+    """Per slice of a stack, the mask ``real`` of its pair's own indices
+    (a (T, N) bool array) and ``pairs`` of their ordered pairs i != j
+    (T, N, N), and the clamp warnings and the first error of its
     evaluation, in the order a one-at-a-time evaluation meets them.  A
     slice records nothing after its error: its later steps run on
     placeholder values only to keep the stack whole.  A spectral error
     never gets here: it ends its trial in ``harness.Family.solve``."""
 
-    def __init__(self, k: int):
-        self.warnings = [[] for _ in range(k)]
-        self.errors = [None] * k
+    def __init__(self, real: np.ndarray):
+        self.real = real
+        self.pairs = (real[:, :, None] & real[:, None, :]
+                      & ~np.eye(real.shape[1], dtype=bool))
+        self.warnings = [[] for _ in range(len(real))]
+        self.errors = [None] * len(real)
 
     def warn(self, mask, values) -> None:
         for i, hit in enumerate(mask.tolist()):
@@ -97,11 +107,13 @@ class _Log:
             raise self.errors[i]
 
 
-def _clamp_nonneg(w: np.ndarray, scale: np.ndarray, lg: _Log) -> np.ndarray:
-    """w, a (T, n) stack nonnegative in exact arithmetic, with negative
-    entries set to zero; a slice whose minimum is below −CLAMP_WARN times
-    its scale is beyond rounding dust and logs it."""
-    low = w.min(axis=1)
+def _clamp_nonneg(w: np.ndarray, scale: np.ndarray, real: np.ndarray,
+                  lg: _Log) -> np.ndarray:
+    """w, a (T, N) stack nonnegative in exact arithmetic, with negative
+    entries set to zero; a slice whose minimum over its ``real`` entries
+    is below −CLAMP_WARN times its scale is beyond rounding dust and logs
+    it."""
+    low = w.min(axis=1, where=real, initial=np.inf)
     lg.warn(low < -CLAMP_WARN * scale, low)
     return np.maximum(w, 0.0)
 
@@ -117,6 +129,10 @@ class BoundResult:
     components: dict
 
 
+# the components with one entry per matrix index, padded like the factors
+PER_INDEX = ("s", "t", "s_row", "scaling")
+
+
 @dataclass(frozen=True)
 class _Rungs:
     """One rung over a stack: a value per slice, and per component a column
@@ -127,13 +143,16 @@ class _Rungs:
     values: np.ndarray
     components: dict
 
-    def records(self) -> list:
+    def records(self, orders) -> list:
         """The BoundResult of every slice, with Python scalars and tuples
-        in its components."""
+        in its components; a ``PER_INDEX`` component is cut back to the
+        slice's own order."""
         cols = []
-        for col in self.components.values():
+        for key, col in self.components.items():
             if isinstance(col, np.ndarray):
                 col = col.tolist()
+                if key in PER_INDEX:
+                    col = [row[:n] for row, n in zip(col, orders)]
                 if col and isinstance(col[0], list):
                     col = [tuple(row) for row in col]
             else:
@@ -148,9 +167,11 @@ def _diag(a: np.ndarray) -> np.ndarray:
     return a.diagonal(0, -2, -1)
 
 
-def _pick(vals: np.ndarray, upper: bool):
-    """(value, index) per row of vals: the first maximum or minimum."""
-    i = (np.argmax if upper else np.argmin)(vals, axis=1)
+def _pick(vals: np.ndarray, upper: bool, real: np.ndarray):
+    """(value, index) per row of vals: the first maximum or minimum over
+    the entries that the mask ``real`` (of vals' shape) keeps."""
+    vals = np.where(real, vals, -np.inf if upper else np.inf)
+    i = vals.argmax(axis=1) if upper else vals.argmin(axis=1)
     return vals[np.arange(len(i)), i], i
 
 
@@ -188,13 +209,15 @@ def _aux_chain(a: np.ndarray, lg: _Log):
     slice with a nonpositive r denominator fails at its first row-major
     pair (l, i) and goes on with unit denominators.  The sum over k != j, i
     in s_pair is (|A|_off · r)_j − |a_ji| r_i, since |A|_off has a zero
-    diagonal."""
+    diagonal.  Only pairs of real indices (``lg.pairs``) count: the others
+    get a unit denominator and a zero s_pair, so the pad's r is 0."""
     k, n, _ = a.shape
-    idx = np.arange(n)
+    pairs = lg.pairs
     off = _offdiag_abs(a)
     dg = np.abs(_diag(a))
-    den = dg[:, :, None] - (off.sum(axis=2)[:, :, None] - off)
-    den[:, idx, idx] = 1.0  # off is 0 there, so r_pair's diagonal is 0
+    # off is 0 where no real pair is (the diagonal, the pad), so r_pair too
+    den = np.where(pairs, dg[:, :, None] - (off.sum(axis=2)[:, :, None] - off),
+                   1.0)
     bad = den <= 0.0
     failed = bad.any(axis=(1, 2))
     lg.fail_where(failed, lambda t: ValueError(
@@ -207,7 +230,7 @@ def _aux_chain(a: np.ndarray, lg: _Log):
     r = r_pair.max(axis=1)  # entries >= 0, so the zero diagonal never wins
     acc = off @ r[:, :, None] - off * r[:, None, :]
     s_pair = np.divide(off + acc, dg[:, :, None], out=np.zeros((k, n, n)),
-                       where=~np.eye(n, dtype=bool))
+                       where=pairs)
     return r, s_pair
 
 
@@ -236,22 +259,24 @@ def _oval(x, u, v, upper: bool, lg: _Log):
     i != j, the largest upper root (upper=True) or the smallest lower root
     of the pairwise oval 0.5 (x_i + x_j ± sqrt((x_i − x_j)² + 4 u_i v_j));
     the first row-major pair of each slice wins its ties, and pairs is a
-    (T, 2) array of (i, j).  u and v are clamped at zero on the scale of
-    each slice's x, and the root is formed as a hypot of x_i − x_j and
-    2 √u_i √v_j, so no intermediate leaves float64 range before the root
-    does."""
+    (T, 2) array of (i, j).  Only real indices pair up (``lg.pairs``); a
+    slice of order 1 has no pair, and its value is x_0 at (0, 0).  u and v
+    are clamped at zero on the scale of each slice's x, and the root is
+    formed as a hypot of x_i − x_j and 2 √u_i √v_j, so no intermediate
+    leaves float64 range before the root does."""
     k, n = x.shape
-    if n == 1:
-        return x[:, 0].copy(), np.zeros((k, 2), dtype=int)
+    live = lg.pairs.any(axis=2)  # the real indices of a slice with a pair
+    single = ~live[:, 0]
     sign = 1.0 if upper else -1.0
-    scale = np.abs(x).max(axis=1)
-    cross = (2.0 * np.sqrt(_clamp_nonneg(u, scale, lg))[:, :, None]
-             * np.sqrt(_clamp_nonneg(v, scale, lg))[:, None, :])
+    scale = np.abs(x).max(axis=1, where=lg.real, initial=0.0)
+    cross = (2.0 * np.sqrt(_clamp_nonneg(u, scale, live, lg))[:, :, None]
+             * np.sqrt(_clamp_nonneg(v, scale, live, lg))[:, None, :])
     roots = 0.5 * (x[:, :, None] + x[:, None, :]
                    + sign * np.hypot(x[:, :, None] - x[:, None, :], cross))
-    idx = np.arange(n)
-    roots[:, idx, idx] = -sign * np.inf
-    value, flat = _pick(roots.reshape(k, n * n), upper)
+    value, flat = _pick(roots.reshape(k, n * n), upper,
+                        lg.pairs.reshape(k, n * n))
+    value = np.where(single, x[:, 0], value)
+    flat = np.where(single, 0, flat)
     return value, np.array(np.divmod(flat, n)).T
 
 
@@ -275,7 +300,7 @@ def _rho_affine(a, b, rho_a, rho_b, lg: _Log) -> _Rungs:
     ra, rb = rho_a[:, None], rho_b[:, None]
     with np.errstate(over="ignore"):
         rr = ra * rb
-    value, i = _pick(2.0 * da * db + rr - db * ra - da * rb, upper=True)
+    value, i = _pick(2.0 * da * db + rr - db * ra - da * rb, True, lg.real)
     return _Rungs("rho_affine", "upper", value,
                   {"rho_a": rho_a, "rho_b": rho_b, "argmax": i})
 
@@ -322,7 +347,7 @@ def _tau_affine(a, b, tau_a, tau_b, lg: _Log) -> _Rungs:
     ta, tb = tau_a[:, None], tau_b[:, None]
     with np.errstate(over="ignore"):
         tt = ta * tb
-    value, i = _pick(db * ta + da * tb - tt, upper=False)
+    value, i = _pick(db * ta + da * tb - tt, False, lg.real)
     return _Rungs("tau_affine", "lower", value,
                   {"tau_a": tau_a, "tau_b": tau_b, "argmin": i})
 
@@ -353,7 +378,7 @@ def _tau_oval_rowmax(a, b, tau_a, tau_b, lg: _Log) -> _Rungs:
 
 def _tau_hinv_diag_floor(tau_a, binv, lg: _Log) -> _Rungs:
     """tau(A) * min_i beta_ii, beta = diag(B⁻¹)."""
-    beta, i = _pick(_diag(binv), upper=False)
+    beta, i = _pick(_diag(binv), False, lg.real)
     return _Rungs("tau_hinv_diag_floor", "lower", tau_a * beta,
                   {"tau_a": tau_a, "min_beta": beta, "argmin": i})
 
@@ -364,7 +389,7 @@ def _tau_hinv_jacobi_ratio(a, b, rho_ja, rho_jb, lg: _Log) -> _Rungs:
     The ratio runs a_ii over b_ii; the flipped orientation fails validity
     on desk checks, so only this one is offered.
     """
-    ratio, i = _pick(_diag(a) / _diag(b), upper=False)
+    ratio, i = _pick(_diag(a) / _diag(b), False, lg.real)
     contraction = (1.0 - rho_ja * rho_jb) / (1.0 + rho_jb * rho_jb)
     return _Rungs("tau_hinv_jacobi_ratio", "lower", contraction * ratio,
                   {"rho_ja": rho_ja, "rho_jb": rho_jb,
@@ -382,7 +407,7 @@ def _dominance_scaling(b, binv, dominant, lg: _Log) -> DominanceScaling:
     d = np.ones((k, n))
     if applied.any():
         d[applied] = (binv[applied] @ np.ones((n, 1)))[:, :, 0]
-        bad = (d <= 0.0).any(axis=1)
+        bad = ((d <= 0.0) & lg.real).any(axis=1)
         lg.fail_where(bad, lambda t: ValueError(
             "scaling vector must be strictly positive"))
         d[bad] = 1.0
@@ -398,7 +423,8 @@ def _tau_hinv_chain(a, b, scaling: DominanceScaling, lg: _Log) -> _Rungs:
     coefficients)."""
     s_row = scaling.s_pair.max(axis=2)  # diag is 0, entries >= 0
     colsum = _offdiag_abs(a).sum(axis=1)
-    value, i = _pick((_diag(a) - s_row * colsum) / _diag(b), upper=False)
+    value, i = _pick((_diag(a) - s_row * colsum) / _diag(b), False,
+                     lg.real)
     return _Rungs("tau_hinv_chain", "lower", value,
                   {"argmin": i, "s_row": s_row, "scaled": scaling.applied,
                    "scaling": scaling.d})
@@ -482,18 +508,20 @@ def _tau_multi_fan(mats, exponents: HolderExponents, taus, lg: _Log) -> _Rungs:
     ``core._fan_power``, so a bracket that is zero in exact arithmetic comes
     out as 0.
     """
+    real = lg.real
     prod_diag = prod_deficit = 1.0
     for k, (m, p) in enumerate(zip(mats, exponents.p)):
         dg = _diag(m)
         power = dg ** p
         bracket = power - taus[:, k, None]
         mag = np.abs(power)
-        lg.fail_where((bracket < -1e-8 * mag).any(axis=1), lambda t: ValueError(
-            "negative Perron deficit bracket"))
+        lg.fail_where(((bracket < -1e-8 * mag) & real).any(axis=1),
+                      lambda t: ValueError("negative Perron deficit bracket"))
         prod_diag = prod_diag * dg
         prod_deficit = prod_deficit * _clamp_nonneg(
-            bracket, mag.max(axis=1), lg) ** (1.0 / p)
-    value, i = _pick(prod_diag - prod_deficit, upper=False)
+            bracket, mag.max(axis=1, where=real, initial=0.0), real,
+            lg) ** (1.0 / p)
+    value, i = _pick(prod_diag - prod_deficit, False, real)
     return _Rungs("tau_multi_fan", "lower", value,
                   {"argmin": i, "p": tuple(int(x) for x in exponents.p),
                    "taus_of_fan_powers": taus})

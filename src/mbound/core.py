@@ -9,8 +9,8 @@ reach users only through ``harness.FAMILIES``.  ``_scc_blocks`` is the
 package's one graph routine: irreducibility and the block split of a
 reducible Perron root both come from the strongly connected blocks it
 finds for a whole stack at once.  ``_stacks`` pads the arrays of a list
-to their bucket orders, so that solvers stack orders 1–4, 5–8 and 9–12
-together.
+to their bucket orders, so that the spectral solvers and the ladders and
+checks of a suite stack orders 1–4, 5–8 and 9–12 together.
 """
 from __future__ import annotations
 
@@ -133,15 +133,6 @@ def _scc_blocks(a: np.ndarray, orders=None):
             blocks.setdefault(first, []).append(i)
         out.append(list(blocks.values()))
     return out
-
-
-def _by_order(mats):
-    """{n: indices} of a list of square arrays, grouping those of one order
-    so that each group can be stacked."""
-    groups = {}
-    for i, a in enumerate(mats):
-        groups.setdefault(a.shape[0], []).append(i)
-    return groups
 
 
 PAD = 4  # a stack of ``_stacks`` has an order that is a multiple of PAD

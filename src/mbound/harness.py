@@ -13,11 +13,12 @@ shift from one stacked Perron solve and gates every factor with one
 identity-padded elimination per bucket order 4·⌈n/4⌉.  The second lists
 each trial's spectral problems (``Family.problems``) and solves those of
 all trials in one stacked call (``spectral.solve``), whose stacks are
-padded to bucket orders too.  The third evaluates the
-ladders and the structural checks of all trials of one order as one
-(T, n, n) stack (``Family.assess``), and the per-trial ``BoundResult`` and
+padded to bucket orders too.  The third evaluates the ladders and the
+structural checks of all trials of one bucket order as one identity-padded
+(T, N, N) stack (``Family.assess``), with a mask that keeps the pad out of
+every rung and check, and the per-trial ``BoundResult`` and
 ``TrialReport`` records are built at the end.  One tuple of factors, such
-as a CLI pair, is a stack of one (``Family.evaluate``).  Input is
+as a CLI pair, is a padded stack of one (``Family.evaluate``).  Input is
 validated once, where it enters: by ``cli.read_matrix`` for the CLI, by
 ``as_matrix`` in ``Family.evaluate`` and the public ``core`` and
 ``spectral`` functions, and by construction for the generated factors,
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import _lu, bounds, spectral
 from .bounds import _diag
-from .core import (_by_order, _fan_power, _fan_product, _finite, _hadamard,
+from .core import (_fan_power, _fan_product, _finite, _hadamard,
                    _scale_similarity, _stacks, as_matrix, classify)
 from .errors import ClassMismatchError, MboundError, unwrap
 from .spectral import _jacobi_matrix
@@ -324,14 +325,16 @@ class Family:
     problems of one tuple of factors, ("rho" | "tau", matrix), in the order
     a one-at-a-time evaluation meets them, and returns ctx, the per-pair
     quantities formed on the way.  The rest works on a stack of T tuples of
-    one order: mats holds one (T, n, n) stack per factor, values is the
-    (T, k) array of solved values and ctx the stacked per-pair quantities.
+    one bucket order N: mats holds one identity-padded (T, N, N) stack per
+    factor, values is the (T, k) array of solved values and ctx the stacked
+    per-pair quantities, its matrices padded alike.
     ``ladder(mats, exponents, values, ctx, log)`` returns (oracle, rungs,
     ctx), one ``bounds._Rungs`` per rung; ``checks(mats, exponents, oracle,
     rungs, ctx, log)`` returns the structural checks as (name, passed,
     where) triples of (T,) arrays (``where`` None for a check every slice
     has), and the dominance hypothesis and verdict as (T,) arrays or None.
-    Both record each slice's clamp warnings and errors in ``log``.
+    Both read each slice's own indices from ``log.real`` and record each
+    slice's clamp warnings and errors in ``log``.
     ``problems`` lists every spectral problem, the factor gates included,
     and the checks read their values from it too.  A ``holder`` family
     takes one factor per Hölder exponent.
@@ -383,24 +386,41 @@ class Family:
     def assess(self, trials, solved, exponents, checked: bool = True) -> list:
         """Per tuple of factors in ``trials``, with its (values, ctx) from
         ``solve``: (log, slice, oracle, ladder, checks, hyp, dom).  The
-        ladders, and with ``checked`` the checks, of all tuples of one order
-        are one stack; ``log.flush(slice)`` logs the tuple's clamp warnings
-        and raises its error, as a one-at-a-time evaluation would."""
+        ladders, and with ``checked`` the checks, of all tuples of one
+        bucket order 4·⌈n/4⌉ are one stack (``core._stacks``): every factor
+        and every matrix of ctx gets an identity pad, and the log's mask
+        ``real`` keeps the pad out of every rung and check.  A tuple of
+        one order gets the same bits in any call.  ``log.flush(slice)``
+        logs the tuple's clamp warnings and raises its error, as a
+        one-at-a-time evaluation would."""
         out = [None] * len(trials)
-        for idx in _by_order([mats[0] for mats in trials]).values():
-            lg = bounds._Log(len(idx))
-            mats = [np.array(f) for f in zip(*(trials[t] for t in idx))]
+        if not trials:
+            return out
+        ctxs = [ctx for _, ctx in solved]
+        keys = [key for key, v in ctxs[0].items() if isinstance(v, np.ndarray)]
+        m, n_cols = len(trials[0]), len(trials[0]) + len(keys)
+        # the factors of every tuple, column by column, then its ctx
+        # matrices: the arrays of a tuple share its order, so a bucket's
+        # stack holds its k tuples once per column, in column order
+        flat = [f[k] for k in range(m) for f in trials]
+        flat += [c[key] for key in keys for c in ctxs]
+        for idx, orders, stack in _stacks(flat, diag=1.0):
+            k = len(idx) // n_cols
+            idx, orders = idx[:k], orders[:k]
+            stacks = stack.reshape(n_cols, k, *stack.shape[1:])
+            lg = bounds._Log(np.arange(stack.shape[1])
+                             < np.array(orders)[:, None])
             values = np.array([solved[t][0] for t in idx])
-            ctxs = [solved[t][1] for t in idx]
-            ctx = {key: (np.array([c[key] for c in ctxs])
-                         if isinstance(ctxs[0][key], np.ndarray)
-                         else [c[key] for c in ctxs]) for key in ctxs[0]}
+            ctx = dict(zip(keys, stacks[m:]))
+            ctx.update((key, [ctxs[t][key] for t in idx])
+                       for key in ctxs[0] if key not in keys)
+            mats = list(stacks[:m])
             oracle, rungs, ctx = self.ladder(mats, exponents, values, ctx, lg)
             checks, hyp, dom = ([], None, None)
             if checked:
                 checks, hyp, dom = self.checks(mats, exponents, oracle, rungs,
                                                ctx, lg)
-            ladders = list(zip(*(r.records() for r in rungs)))
+            ladders = list(zip(*(r.records(orders) for r in rungs)))
             checks = [(name, ok.tolist(), None if where is None else where.tolist())
                       for name, ok, where in checks]
             hyp = [None] * len(idx) if hyp is None else hyp.tolist()
@@ -460,11 +480,11 @@ def _hadamard_ladder(mats, exponents, values, ctx, lg):
     return oracle, ladder, {**ctx, "rho_a": rho_a, "rho_b": rho_b}
 
 
-def _hadamard_det_chain(prod, oracle, w):
-    """|det| <= oracle^n <= (tightest upper bound)^n per slice, with
-    numpy's determinant as an independent reference.  A power or a
-    determinant that overflows is inf, and inf <= inf holds."""
-    n = prod.shape[1]
+def _hadamard_det_chain(prod, oracle, w, n):
+    """|det| <= oracle^n <= (tightest upper bound)^n per slice of order n,
+    with numpy's determinant as an independent reference; the identity pad
+    of prod leaves its determinant as it is.  A power or a determinant
+    that overflows is inf, and inf <= inf holds."""
     with np.errstate(over="ignore"):
         det = np.abs(np.linalg.det(prod))
         on = oracle ** n
@@ -473,16 +493,16 @@ def _hadamard_det_chain(prod, oracle, w):
 
 def _hadamard_checks(mats, exponents, oracle, ladder, ctx, lg):
     a, b = mats
-    prod = ctx["prod"]
+    prod, real = ctx["prod"], lg.real
     # anchor: the oracle can never undercut a diagonal product
-    checks = [("diag_anchor",
-               oracle >= _diag(prod).max(axis=1) - VIOLATION_TOL, None)]
-    checks.append(("det_chain",
-                   _hadamard_det_chain(prod, oracle, ladder[3].values), None))
+    checks = [("diag_anchor", oracle >= bounds._pick(_diag(prod), True, real)[0]
+               - VIOLATION_TOL, None)]
+    checks.append(("det_chain", _hadamard_det_chain(
+        prod, oracle, ladder[3].values, real.sum(axis=1)), None))
     # conditional dominance of the rowmax oval over the deficit oval
     s, t = ladder[3].components["s"], ladder[3].components["t"]
-    hyp = ((t + _diag(b) >= ctx["rho_b"][:, None]).all(axis=1)
-           & (s + _diag(a) >= ctx["rho_a"][:, None]).all(axis=1))
+    hyp = ((t + _diag(b) >= ctx["rho_b"][:, None])
+           & (s + _diag(a) >= ctx["rho_a"][:, None]) | ~real).all(axis=1)
     dom = ladder[3].values <= ladder[2].values + DOMINANCE_TOL
     checks.append(("conditional_dominance", dom, hyp))
     return checks, hyp, dom
@@ -508,10 +528,10 @@ def _fan_ladder(mats, exponents, values, ctx, lg):
     return oracle, ladder, {**ctx, "tau_a": tau_a, "tau_b": tau_b}
 
 
-def _fan_det_chain(prod, oracle, w):
-    """|det| >= oracle^n >= w·|w|^(n−1) per slice, which a negative bound
-    passes at once.  Overflow is inf, as in the hadamard chain."""
-    n = prod.shape[1]
+def _fan_det_chain(prod, oracle, w, n):
+    """|det| >= oracle^n >= w·|w|^(n−1) per slice of order n, which a
+    negative bound passes at once.  Overflow is inf, as in the hadamard
+    chain."""
     with np.errstate(over="ignore"):
         det = np.abs(np.linalg.det(prod))
         on = oracle ** n
@@ -520,14 +540,14 @@ def _fan_det_chain(prod, oracle, w):
 
 def _fan_checks(mats, exponents, oracle, ladder, ctx, lg):
     a, b = mats
-    prod = ctx["prod"]
-    checks = [("diag_anchor",
-               oracle <= _diag(prod).min(axis=1) + VIOLATION_TOL, None)]
-    checks.append(("det_chain",
-                   _fan_det_chain(prod, oracle, ladder[3].values), None))
+    prod, real = ctx["prod"], lg.real
+    checks = [("diag_anchor", oracle <= bounds._pick(_diag(prod), False, real)[0]
+               + VIOLATION_TOL, None)]
+    checks.append(("det_chain", _fan_det_chain(
+        prod, oracle, ladder[3].values, real.sum(axis=1)), None))
     s, t = ladder[3].components["s"], ladder[3].components["t"]
-    hyp = ((_diag(a) >= ctx["tau_a"][:, None] + s).all(axis=1)
-           & (_diag(b) >= ctx["tau_b"][:, None] + t).all(axis=1))
+    hyp = ((_diag(a) >= ctx["tau_a"][:, None] + s)
+           & (_diag(b) >= ctx["tau_b"][:, None] + t) | ~real).all(axis=1)
     dom = ladder[3].values >= ladder[2].values - DOMINANCE_TOL
     checks.append(("conditional_dominance", dom, hyp))
     return checks, hyp, dom
@@ -575,6 +595,7 @@ def _hinv_checks(mats, exponents, oracle, ladder, ctx, lg):
     # sinv[j, i] <= caps[j, i] * sinv[i, i]; the unit diagonal of caps
     # makes i == j hold trivially
     over = sinv > scaling.caps * _diag(sinv)[:, None, :] + CAP_TOL
+    over &= lg.pairs
     return [("product_is_m_matrix", np.ones(len(oracle), dtype=bool), None),
             ("inverse_entry_caps", ~over.any(axis=(1, 2)), None)], None, None
 

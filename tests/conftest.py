@@ -40,7 +40,7 @@ def random_m_matrix(rng, n, margin=0.5, density=1.0):
 def row_chain(b):
     """(r, s_pair, caps): the row chain and inverse caps of one strictly
     row-dominant b, from the stacked kernels on a stack of one."""
-    lg = bounds._Log(1)
+    lg = bounds._Log(np.ones((1, len(b)), dtype=bool))
     r, s_pair = bounds._aux_chain(b[None], lg)
     lg.flush(0)
     return r[0], s_pair[0], bounds._caps(b[None], r)[0]

@@ -34,12 +34,14 @@ def one(x):
 
 
 def kernel(rung, *args):
-    """A rung kernel on stacks of one, fed chosen spectral values: its
-    BoundResult, after its clamp warnings and its error."""
-    lg = B._Log(1)
+    """A rung kernel on unpadded stacks of one, fed chosen spectral values:
+    its BoundResult, after its clamp warnings and its error."""
+    mats = args[0] if isinstance(args[0], list) else args
+    n = next((x.shape[-1] for x in mats if np.ndim(x) == 3), 1)
+    lg = B._Log(np.ones((1, n), dtype=bool))
     rungs = rung(*args, lg)
     lg.flush(0)
-    return rungs.records()[0]
+    return rungs.records([n])[0]
 
 
 # --- upper ladder on the entrywise product -------------------------------
@@ -291,8 +293,9 @@ def test_oval_matches_the_pair_loop():
         x, u, v = rng.uniform(0.0, 2.0, (3, n))
         for uv in ((u, v), (u, u)):
             for upper in (True, False):
+                lg = B._Log(np.ones((1, n), dtype=bool))
                 values, pairs = B._oval(x[None], uv[0][None], uv[1][None],
-                                        upper, B._Log(1))
+                                        upper, lg)
                 ref, ref_arg = _oval_loop(x, *uv, upper)
                 assert values[0] == pytest.approx(ref, rel=0.0, abs=1e-14)
                 assert tuple(pairs[0]) == ref_arg

@@ -1,6 +1,8 @@
 """Generator determinism, trial independence, and suite bookkeeping."""
 import hashlib
+import json
 import logging
+import os
 
 import numpy as np
 import pytest
@@ -310,9 +312,11 @@ def _replay(assessed):
 @settings(max_examples=30, deadline=None)
 def test_stacked_ladder_and_checks_match_stacks_of_one(family, data, seed,
                                                        density):
-    # The ladder and checks of T trials, stacked per order, report what T
-    # stacks of one report: values, components, checks, dominance flags,
-    # error class and message, and the clamp lines in trial order.  Some
+    # The ladder and checks of T trials, stacked per bucket order, report
+    # what T stacks of one report: values, components, checks, dominance
+    # flags, error class and message, and the clamp lines in trial order.
+    # Both sides are padded alike, so a leaked pad shows only in
+    # test_padded_stacks_keep_the_per_order_reports.  Some
     # solved values are moved off their oracle, or just past a diagonal
     # entry, so that ovals and multi-Fan brackets clamp or fail.  Some hinv
     # trials get the identity for B^-1: d = 1 then leaves a B that is not
@@ -361,6 +365,173 @@ def test_stacked_ladder_and_checks_match_stacks_of_one(family, data, seed,
     alone = [_replay(fam.assess([mats], [r], exponents))[0]
              for mats, r in zip(trials, solved)]
     assert stacked == alone
+
+
+# family, Hölder exponents and tuples per order of each pad-leak case
+PAD_CASES = {
+    "hadamard": ("hadamard", None, 3),
+    "fan": ("fan", None, 1),
+    "hadamard-inverse": ("hadamard-inverse", None, 2),
+    "multi-fan@2,2": ("multi-fan", (2, 2), 1),
+    "multi-fan@1,1": ("multi-fan", (1, 1), 1),
+}
+# per case, the _outcome of each tuple of _pad_leak_outcomes, written by
+# the evaluation that stacked the ladders and checks of one order at a time,
+# without a pad
+PAD_PINS = os.path.join(os.path.dirname(__file__), "pad_pins.json")
+
+
+def _pad_leak_trials(case):
+    """Tuples of factors of every order 1–12 on which an identity pad that
+    leaked into a minimum, a maximum, an oval, a clamp, a failure test or a
+    check would decide it.  M-matrix factors are row-dominant with a
+    constant margin c per factor, so τ is about c and a_ii > 1:
+    - fan: the pad's τ(A) + τ(B) − τ(A)τ(B) undercuts every tau_affine
+      term, its diagonal product 1 every real one, and a_ii ≥ τ(A) + s_i
+      holds on real rows and fails on the pad;
+    - hadamard-inverse: b_ii < 1 < a_ii, so β_ii > 1 and a_ii/b_ii > 1
+      undercut the pad's 1 in tau_hinv_diag_floor and
+      tau_hinv_jacobi_ratio; the second B of each order is column-scaled,
+      so it is not row dominant and is scaled;
+    - multi-fan: τ(A_k^(p_k)) ≥ 4, so the pad's bracket 1 − τ fails;
+    - hadamard: a dense pair with a_ii, b_ii > 1, where the pad would win
+      rho_affine and the ovals, an upper-triangular pair with ρ = 2 on
+      which the dominance hypothesis holds and fails on the pad, and a
+      dense pair with ρ < 1, whose diag_anchor the pad's 1 would fail."""
+    family, p, per_order = PAD_CASES[case]
+    rng = np.random.default_rng(22)
+    m = 2 if p is None else len(p)
+
+    def dominant(n, c):
+        q = np.where(rng.uniform(size=(n, n)) < 0.8,
+                     rng.uniform(0.1, 1.0, (n, n)), 0.0)
+        np.fill_diagonal(q, 0.0)
+        return np.diag(q.sum(axis=1) + c) - q
+
+    trials = []
+    for n in range(1, 13):
+        for variant in range(per_order):
+            if family == "hadamard" and variant == 0:
+                mats = [rng.uniform(0.0, 1.0, (n, n)) + np.eye(n)
+                        for _ in range(2)]
+            elif family == "hadamard" and variant == 2:
+                mats = [rng.uniform(0.0, 0.8 / n, (n, n)) for _ in range(2)]
+            elif family == "hadamard":
+                mats = []
+                for _ in range(2):
+                    a = np.triu(rng.uniform(0.0, 1.0, (n, n)), 2)
+                    a += np.diag(np.full(n - 1, 1.5), 1)
+                    a += np.diag(np.append(rng.uniform(1.0, 1.5, n - 1), 2.0))
+                    mats.append(a)
+            elif family == "hadamard-inverse":
+                b = dominant(n, rng.uniform(1.5, 2.5))
+                if variant:
+                    b = b * rng.uniform(0.05, 1.0, n)  # B·diag(v)
+                mats = [dominant(n, rng.uniform(1.5, 2.5)),
+                        0.8 * b / np.diag(b).max()]
+            else:
+                low = 2.0 if family == "multi-fan" else 1.5
+                mats = [dominant(n, rng.uniform(low, low + 1.0))
+                        for _ in range(m)]
+            trials.append(mats)
+    return trials
+
+
+def _outcome(assessed):
+    """Per trial, its error or its report with floats as hex strings, and
+    the lines it logs, replayed in trial order."""
+    def norm(x):
+        if isinstance(x, float):
+            return x.hex()
+        if isinstance(x, (tuple, list)):
+            return [norm(v) for v in x]
+        if isinstance(x, dict):
+            return {k: norm(v) for k, v in x.items()}
+        return x
+
+    handler = _Lines()
+    logger = logging.getLogger("mbound.bounds")
+    logger.addHandler(handler)
+    out = []
+    try:
+        for lg, i, oracle, ladder, checks, hyp, dom in assessed:
+            del handler.lines[:]
+            try:
+                lg.flush(i)
+                rec = {"oracle": oracle, "checks": checks, "hyp": hyp,
+                       "dom": dom, "ladder": [(br.name, br.value, br.components)
+                                              for br in ladder]}
+            except Exception as exc:  # the trial's own error
+                rec = {"error": [type(exc).__name__, str(exc)]}
+            rec["log"] = list(handler.lines)
+            out.append(norm(rec))
+    finally:
+        logger.removeHandler(handler)
+    return out
+
+
+def _assert_pinned(got, pin, exact, where):
+    """got matches pin, a float bit for bit where exact and to 1e-13
+    relative elsewhere; everything else exactly."""
+    if isinstance(pin, list):
+        assert isinstance(got, list) and len(got) == len(pin), (where, got, pin)
+        for k, (g, p) in enumerate(zip(got, pin)):
+            _assert_pinned(g, p, exact, f"{where}[{k}]")
+    elif isinstance(pin, dict):
+        assert isinstance(got, dict) and got.keys() == pin.keys(), (where, got)
+        for k in pin:
+            _assert_pinned(got[k], pin[k], exact, f"{where}.{k}")
+    elif got != pin:
+        # only a float (a hex string) may differ, and only where a pad is
+        # added; float.fromhex raises on anything else
+        assert not exact, (where, got, pin)
+        x, y = float.fromhex(got), float.fromhex(pin)
+        assert abs(x - y) <= 1e-13 * max(abs(x), abs(y)), (where, got, pin)
+
+
+def _pad_leak_outcomes(case):
+    """(orders, every tuple assessed in one call, each one alone).  The
+    tuples of orders 1–4 come twice.  The second time, the spectral values
+    of the factors are moved off, by 2 and 1/2 in turn (the oracle is
+    kept), so that ovals clamp and multi-Fan brackets fail; an order-1
+    slice, which has no oval pair, must still not clamp.  Their hinv B⁻¹
+    is the identity, so a column-scaled B stays unscaled: a row whose
+    off-diagonal sum exceeds its diagonal then gives the pad's columns a
+    nonpositive row-chain denominator, and chain entries that would win."""
+    family, p, _ = PAD_CASES[case]
+    fam = harness.FAMILIES[family]
+    exponents = None if p is None else HolderExponents(p)
+    trials = _pad_leak_trials(case)
+    solved = fam.solve(trials, exponents)
+    for t in [t for t, mats in enumerate(trials) if len(mats[0]) <= 4]:
+        values, ctx = solved[t]
+        if "binv" in ctx:
+            ctx = {**ctx, "binv": np.eye(len(trials[t][0]))}
+        trials.append(trials[t])
+        solved.append(([v * (0.5 if k % 2 else 2.0)
+                        for k, v in enumerate(values[:-1])] + values[-1:], ctx))
+    mixed = _outcome(fam.assess(trials, solved, exponents))
+    alone = [_outcome(fam.assess([t], [s], exponents))[0]
+             for t, s in zip(trials, solved)]
+    return [len(t[0]) for t in trials], mixed, alone
+
+
+@pytest.mark.parametrize("case", list(PAD_CASES))
+def test_padded_stacks_keep_the_per_order_reports(case):
+    # the ladders and checks of tuples of orders 1–12, in one call (the
+    # order-1 ones share their stack with orders 2–4) and one at a time,
+    # against the reports pinned from unpadded stacks of one order each:
+    # bit for bit where the order fills its bucket (4, 8, 12), where no pad
+    # is added, and to 1e-13 relative elsewhere, where padded row sums and
+    # products may round otherwise.  On these tuples a pad that leaks into
+    # any rung or check changes a report or an error.
+    with open(PAD_PINS) as f:
+        pins = json.load(f)[case]
+    orders, mixed, alone = _pad_leak_outcomes(case)
+    assert len(pins) == len(orders)
+    for t, (n, pin) in enumerate(zip(orders, pins)):
+        for how, got in (("mixed", mixed[t]), ("alone", alone[t])):
+            _assert_pinned(got, pin, n % 4 == 0, f"{case} {how} trial {t}")
 
 
 def _digest_per_entry(a):
