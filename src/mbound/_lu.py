@@ -7,8 +7,8 @@ as E·A·E with E a diagonal of powers of two: that is the nonsingular
 M-matrix gate (all pivots positive) at every scale and, from the same
 packed factors, an inverse that is entrywise >= 0 with exact structural
 zeros.  They take a (k, n, n) stack, loop over the pivot index and
-vectorize over k; a single matrix is a stack of one.  ``spectral`` and
-``harness`` hand them stacks of one bucket order, each matrix padded with
+vectorize over k; a single matrix is a stack of one, as in ``classify``.
+``spectral`` hands them stacks of one bucket order, each matrix padded with
 an identity block (``core._stacks``): the pad passes the gate, no real row
 meets a nonzero pad entry, and the leading block of the inverse is the
 matrix's own inverse.  Their ``order`` is the largest order in the stack:

@@ -9,24 +9,23 @@ index), so results do not depend on execution order and suites may fan out.
 
 A suite runs in three passes.  The first draws every trial's factors in
 the per-trial RNG order and, for M-matrix factors, takes every diagonal
-shift from one stacked Perron solve and gates every factor with one
-identity-padded elimination per bucket order 4·⌈n/4⌉.  The second lists
-each trial's spectral problems (``Family.problems``) and solves those of
-all trials in one stacked call (``spectral.solve``), whose stacks are
-padded to bucket orders too.  The third evaluates the ladders and the
-structural checks of all trials of one bucket order as one identity-padded
-(T, N, N) stack (``Family.assess``), with a mask that keeps the pad out of
-every rung and check, and the per-trial ``BoundResult`` and
-``TrialReport`` records are built at the end.  One tuple of factors, such
-as a CLI pair, is a padded stack of one (``Family.evaluate``).  Input is
-validated once, where it enters: by ``cli.read_matrix`` for the CLI, by
-``as_matrix`` in ``Family.evaluate`` and the public ``core`` and
-``spectral`` functions, and by construction for the generated factors,
-which are finite float64.  No kernel checks its arrays again.  Clamp
-warnings and errors are recorded per trial and replayed in trial order,
-so a stacked suite logs what a one-at-a-time evaluation would log and
-raises its error at the trial, and the step of that trial, where that
-evaluation would meet it.
+shift from one stacked Perron solve.  The second lists each trial's
+spectral problems (``Family.problems``), which gate every factor once,
+and solves those of all trials in one stacked call (``spectral.solve``),
+whose stacks are padded to bucket orders 4·⌈n/4⌉.  The third evaluates
+the ladders and the structural checks of all trials of one bucket order
+as one identity-padded (T, N, N) stack (``Family.assess``), with a mask
+that keeps the pad out of every rung and check, and the per-trial
+``BoundResult`` and ``TrialReport`` records are built at the end.  One
+tuple of factors, such as a CLI pair, is a padded stack of one
+(``Family.evaluate``).  Input is validated once, where it enters: by
+``cli.read_matrix`` for the CLI, by ``as_matrix`` in ``Family.evaluate``
+and the public ``core`` and ``spectral`` functions, and by construction
+for the generated factors, which are finite float64.  No kernel checks
+its arrays again.  Clamp warnings and errors are recorded per trial and
+replayed in trial order, so a stacked suite logs what a one-at-a-time
+evaluation would log and raises its error at the trial, and the step of
+that trial, where that evaluation would meet it.
 
 A trial's ``violations`` tuple names every failed condition — a bound on
 the wrong side of the oracle beyond tolerance, or a structural check
@@ -149,9 +148,10 @@ def gen_m_matrix(spec: GeneratorSpec, rng: Optional[np.random.Generator] = None,
 
     A zero Perron root (acyclic pattern) would make the shift vanish, so
     alpha floors at the margin itself; P is then nilpotent and alpha*I − P
-    a nonsingular M-matrix.  The M-matrix gate of ``classify``
-    (``_lu.m_factor``) is asserted on the result; failure raises rather
-    than silently retrying.
+    a nonsingular M-matrix in exact arithmetic for every margin > 0; in
+    float64 a tiny margin can round it into one that ``classify`` rejects.
+    The result is not gated here: every consumer gates it, the families
+    through their problem lists.
     A margin so large that alpha overflows float64 raises ValueError.
     """
     if rng is None:
@@ -161,13 +161,11 @@ def gen_m_matrix(spec: GeneratorSpec, rng: Optional[np.random.Generator] = None,
 
 
 def _shift_to_m(ps, margin: float) -> list:
-    """``gen_m_matrix``'s shift and gate for a list of nonnegative P: per
-    P, alpha*I − P or the error ``gen_m_matrix`` raises for it.  Every
-    rho(P) comes from one ``spectral.solve`` call and every gate from one
-    ``_lu.m_factor`` call per bucket order 4·⌈n/4⌉ (``core._stacks``, an
-    identity pad), so a P gets the same bits here as alone.  alpha is a
-    Python float, so an overflow gives inf without a floating-point
-    warning."""
+    """``gen_m_matrix``'s shift for a list of nonnegative P: per P,
+    alpha*I − P or the error ``gen_m_matrix`` raises for it.  Every rho(P)
+    comes from one ``spectral.solve`` call, so a P gets the same bits here
+    as alone.  alpha is a Python float, so an overflow gives inf without a
+    floating-point warning."""
     out = spectral.solve([("rho", p) for p in ps])
     for i, (p, r) in enumerate(zip(ps, out)):
         if isinstance(r, Exception):
@@ -178,13 +176,6 @@ def _shift_to_m(ps, margin: float) -> list:
         else:
             out[i] = ValueError("the diagonal shift rho(P)(1 + margin) "
                                 "overflows float64")
-    made = [i for i, m in enumerate(out) if not isinstance(m, Exception)]
-    for idx, orders, stack in _stacks([out[i] for i in made], diag=1.0):
-        ok = _lu.m_factor(stack, max(orders))[1]
-        for j, good in zip(idx, ok.tolist()):
-            if not good:
-                out[made[j]] = ClassMismatchError(
-                    "generated matrix failed M-matrix classification")
     return out
 
 

@@ -526,6 +526,20 @@ def test_verify_overflowing_margin_exits_2(runner):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("family", ["fan", "hadamard-inverse", "multi-fan"])
+def test_verify_tiny_margin_exits_3(runner, family):
+    # at margin 1e-13 the generated factors round into Z-matrices that
+    # fail the M-matrix gate: the family's gate ends the suite with exit 3
+    # and one error line
+    p = ["--p", "2,2"] if family == "multi-fan" else []
+    res = runner.invoke(main, ["verify", family, *p, "--margin", "1e-13",
+                               "--trials", "30", "--seed", "3"])
+    assert res.exit_code == 3
+    assert res.stderr == "error: not a nonsingular M-matrix\n"
+    assert "Traceback" not in res.output
+    assert res.stdout == ""
+
+
 def test_verify_fan_overflowing_chain_power_reports(runner):
     # at margin 1e150 the oracle is about 1e300, and oracle^n of the
     # determinant chain overflows: the power is inf, inf <= inf passes,

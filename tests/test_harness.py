@@ -1,5 +1,6 @@
 """Generator determinism, trial independence, and suite bookkeeping."""
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from mbound import harness
 from mbound.bounds import HolderExponents
 from mbound.core import classify
-from mbound.errors import MboundError
+from mbound.errors import ClassMismatchError, MboundError
 from mbound.harness import (GeneratorSpec, GOLDEN, gen_m_matrix,
                             gen_nonnegative, run_fan_suite, run_hadamard_suite,
                             run_hinv_suite, run_multi_fan_suite)
@@ -69,6 +70,76 @@ def test_gen_m_matrix_zero_pattern_floor():
                          diagonal_margin=0.25)
     a = gen_m_matrix(spec)
     np.testing.assert_allclose(np.diag(a), 0.25)
+
+
+def test_gen_m_matrix_leaves_the_gate_to_its_consumers():
+    # alpha*I − P is a nonsingular M-matrix in exact arithmetic, but at
+    # margin 1e-13 rounding leaves a Z-matrix that fails the gate: the
+    # generator returns it, and classify and the families gate it
+    spec = GeneratorSpec(kind="m_matrix", order=6, density=1.0, seed=3,
+                         diagonal_margin=1e-13)
+    c = classify(gen_m_matrix(spec))
+    assert c.z_matrix and not c.nonsingular_m_matrix
+
+
+TINY_MARGIN_FAMILIES = [("fan", None), ("hadamard-inverse", None),
+                        ("multi-fan", (2, 2)), ("multi-fan", (1, 1))]
+
+
+def _tiny_margin_suite(family, p, seed, margin, examples):
+    """run(trials) of one family at orders 2–8, and the first trial of 30
+    with a factor that ``classify`` rejects, rebuilt one generator call
+    per factor from the trial's own stream."""
+    fam = harness.FAMILIES[family]
+    exponents = None if p is None else HolderExponents(p)
+    spec = GeneratorSpec(kind="m_matrix", order=2, density=1.0, seed=seed,
+                         diagonal_margin=margin)
+
+    def run(trials):
+        return harness.run_suite(fam, trials, spec, order_min=2, order_max=8,
+                                 with_examples=examples, exponents=exponents)
+
+    def rejected(t):
+        rng = harness._trial_rng(seed, t)
+        n = harness._sample_order(rng, 2, 8)
+        mats = [gen_m_matrix(spec, rng=rng, order=n)
+                for _ in range(fam.arity(exponents))]
+        return not all(classify(a).nonsingular_m_matrix for a in mats)
+
+    first = int(examples)  # the worked trial 0 is not generated
+    return run, next((t for t in range(first, 30) if rejected(t)), None)
+
+
+@pytest.mark.parametrize("family, p", TINY_MARGIN_FAMILIES,
+                         ids=["fan", "hinv", "multi-fan-2-2", "multi-fan-1-1"])
+def test_tiny_margin_suite_stops_at_the_first_rejected_factor(family, p):
+    # the generator does not gate; the family's own problems gate each
+    # factor once, so a suite stops at the first trial whose factors
+    # classify rejects, and every trial before it reports
+    for margin, seed, examples in itertools.product((1e-13, 1e-14), (3, 4),
+                                                    (False, True)):
+        run, stop = _tiny_margin_suite(family, p, seed, margin, examples)
+        assert stop is not None
+        for trials in (30, stop + 1):
+            with pytest.raises(ClassMismatchError,
+                               match="not a nonsingular M-matrix"):
+                run(trials)
+        if stop:
+            assert [r.trial for r in run(stop)] == list(range(stop))
+
+
+@pytest.mark.parametrize("family, p", [f for f in TINY_MARGIN_FAMILIES
+                                       if f[0] != "hadamard-inverse"],
+                         ids=["fan", "multi-fan-2-2", "multi-fan-1-1"])
+def test_margin_1e_12_suites_pass(family, p):
+    # every factor passes its gate at margin 1e-12, and no rung or check
+    # is flagged
+    for seed in (3, 4):
+        run, stop = _tiny_margin_suite(family, p, seed, 1e-12, False)
+        assert stop is None
+        reports = run(30)
+        assert len(reports) == 30
+        assert all(r.violations == () for r in reports)
 
 
 def test_lemma_product_m_matrix(hinv_pair):
